@@ -41,7 +41,6 @@ __all__ = [
     "cyclotomic_poly",
     "CycloNumber",
     "zeta",
-    "cyclo_arith",
     "PadicRing",
     "PadicNumber",
     "teichmuller",
@@ -200,48 +199,78 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """x^k mod Phi_m for k in [phi(m), 2*phi(m)-2], as coordinate rows."""
-    phi = euler_phi(m)
-    mod = cyclotomic_poly(m)
-    rows: list[tuple[Fraction, ...]] = []
-    # x^phi = -sum_{i<phi} mod[i] x^i   (Phi_m is monic)
-    current = [Fraction(-mod[i]) for i in range(phi)]
-    rows.append(tuple(current))
-    for _ in range(phi - 2):
-        shifted = [Fraction(0)] + current[:-1]
+def _power_rows(poly: tuple[int, ...], count: int,
+                modulus: int = 0) -> tuple[tuple[int, ...], ...]:
+    """Coordinates of x^k mod poly for k in [d, d + count), d = deg(poly).
+
+    poly is monic with integer coefficients (low first), so every row is
+    integral; a nonzero modulus reduces each entry.  This is the one builder
+    of reduction rows: Phi_m for CycloNumber and its zeta-power table, and
+    the Eisenstein and unramified moduli of PadicRing.
+    """
+    if poly[-1] != 1:
+        raise ArithError("reduction rows need a monic modulus")
+
+    def reduce(x):
+        return x % modulus if modulus else x
+
+    d = len(poly) - 1
+    first = tuple(reduce(-c) for c in poly[:d])
+    rows = []
+    current = first
+    for _ in range(count):
+        rows.append(current)
         top = current[-1]
+        current = (0,) + current[:-1]
         if top:
-            for i in range(phi):
-                shifted[i] += top * rows[0][i]
-        current = shifted
-        rows.append(tuple(current))
+            current = tuple(reduce(c + top * r) for c, r in zip(current, first))
     return tuple(rows)
 
 
-_ZETA_POWER_CACHE: dict[int, list[tuple[Fraction, ...]]] = {}
-
-
-def _zeta_power_coords(m: int, k: int) -> tuple[Fraction, ...]:
-    """Coordinates of zeta_m^k on the power basis (k arbitrary integer)."""
+@lru_cache(maxsize=None)
+def _zeta_table(m: int) -> tuple:
+    """Sparse integer coordinates of zeta_m^k for k in [0, m), as (index, value) pairs."""
+    if m > MAX_CONDUCTOR:
+        raise ArithError(f"conductor {m} exceeds configured bound {MAX_CONDUCTOR}")
     phi = euler_phi(m)
-    k %= m
-    table = _ZETA_POWER_CACHE.setdefault(m, [])
-    if not table:
-        for i in range(phi):
-            coords = [Fraction(0)] * phi
-            coords[i] = Fraction(1)
-            table.append(tuple(coords))
-    while len(table) <= k:
-        rows = _reduction_rows(m)
-        prev = table[-1]
-        top = prev[-1]
-        shifted = [Fraction(0)] + list(prev[:-1])
-        if top:
-            for i in range(phi):
-                shifted[i] += top * rows[0][i]
-        table.append(tuple(shifted))
-    return table[k]
+    rows = [((k, 1),) for k in range(phi)]
+    for row in _power_rows(cyclotomic_poly(m), m - phi):
+        rows.append(tuple((j, z) for j, z in enumerate(row) if z))
+    return tuple(rows)
+
+
+def _accumulate_roots(buf: list, m: int, coeffs, a: int = 1, b: int = 0,
+                      offset: int = 0) -> None:
+    """buf[offset + j] += coordinate j of sum_i coeffs[i] * zeta_m^(a*i + b).
+
+    The one loop over the sparse zeta-power table.  coeffs and buf hold
+    integers; callers rescale (cyclotomic) or reduce mod p^N (p-adic) once
+    at the end.
+    """
+    table = _zeta_table(m)
+    for i, c in enumerate(coeffs):
+        if c:
+            for j, z in table[(a * i + b) % m]:
+                buf[offset + j] += c * z
+
+
+def _integer_coords(vectors) -> tuple[int, list[list[int]]]:
+    """(d, integer vectors): d the lcm of all denominators, each vector scaled by d."""
+    d = 1
+    for v in vectors:
+        for c in v:
+            if d % c.denominator:
+                d = d * c.denominator // gcd(d, c.denominator)
+    if d == 1:
+        return 1, [[c.numerator for c in v] for v in vectors]
+    return d, [[c.numerator * (d // c.denominator) for c in v] for v in vectors]
+
+
+@lru_cache(maxsize=None)
+def _zeta_coords(m: int, k: int) -> tuple[Fraction, ...]:
+    buf = [0] * euler_phi(m)
+    _accumulate_roots(buf, m, (1,), 0, k)
+    return tuple(Fraction(z) for z in buf)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +305,12 @@ class CycloNumber:
         self.coeffs = coeffs
         return self
 
+    @classmethod
+    def _from_ints(cls, m: int, ints, den: int = 1) -> "CycloNumber":
+        if den == 1:
+            return cls._make(m, tuple(map(Fraction, ints)))
+        return cls._make(m, tuple(Fraction(c, den) for c in ints))
+
     @staticmethod
     def from_rational(x, m: int = 1) -> "CycloNumber":
         phi = euler_phi(m)
@@ -285,7 +320,9 @@ class CycloNumber:
 
     @staticmethod
     def zeta_power(m: int, k: int = 1) -> "CycloNumber":
-        return CycloNumber(m, _zeta_power_coords(m, k))
+        if m < 1:
+            raise ArithError("conductor must be positive")
+        return CycloNumber._make(m, _zeta_coords(m, k % m))
 
     # -- structure ----------------------------------------------------
 
@@ -306,16 +343,14 @@ class CycloNumber:
             raise ArithError(f"{self.m} does not divide {big_m}")
         if big_m == self.m:
             return self
-        step = big_m // self.m
-        phi = euler_phi(big_m)
-        out = [Fraction(0)] * phi
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for i, z in enumerate(_zeta_power_coords(big_m, k * step)):
-                if z:
-                    out[i] += c * z
-        return CycloNumber(big_m, out)
+        return self._substitute(big_m, big_m // self.m)
+
+    def _substitute(self, big_m: int, a: int, b: int = 0) -> "CycloNumber":
+        """sum_i coeffs[i] * zeta_big_m^(a*i + b): lift, Galois action and root shift."""
+        den, (ints,) = _integer_coords([self.coeffs])
+        buf = [0] * euler_phi(big_m)
+        _accumulate_roots(buf, big_m, ints, a, b)
+        return CycloNumber._from_ints(big_m, buf, den)
 
     def descend_to(self, small_m: int) -> "CycloNumber":
         """Inverse of lift_to when the value lies in Q(zeta_small_m)."""
@@ -370,6 +405,12 @@ class CycloNumber:
         return CycloNumber._coerce(other) - self
 
     def __mul__(self, other):
+        if isinstance(other, CycloNumber):
+            # a rational factor (conductor 1) scales coordinates
+            if other.m == 1:
+                other = other.coeffs[0]
+            elif self.m == 1:
+                self, other = other, self.coeffs[0]
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             return CycloNumber._make(self.m, tuple(c * q for c in self.coeffs))
@@ -391,19 +432,7 @@ class CycloNumber:
         """Fast multiplication by zeta_m^k (monomial shift, no full product)."""
         if self.m % m != 0:
             return (self.lift_to(self.m * m // gcd(self.m, m))).mul_root(m, k)
-        step = (self.m // m) * (k % m)
-        phi = len(self.coeffs)
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        out = [0] * phi
-        for i, c in enumerate(ints):
-            if c == 0:
-                continue
-            for j, z in _zeta_power_sparse_int(self.m, i + step):
-                out[j] += c * z
-        return CycloNumber._make(self.m, tuple(Fraction(b, den) for b in out))
+        return self._substitute(self.m, 1, (self.m // m) * k)
 
     def inverse(self) -> "CycloNumber":
         if self.is_zero():
@@ -438,15 +467,7 @@ class CycloNumber:
         """Image under zeta_m -> zeta_m^a (a coprime to m)."""
         if gcd(a, self.m) != 1:
             raise ArithError(f"{a} is not coprime to conductor {self.m}")
-        phi = len(self.coeffs)
-        out = [Fraction(0)] * phi
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for j, z in enumerate(_zeta_power_coords(self.m, i * a)):
-                if z:
-                    out[j] += c * z
-        return CycloNumber(self.m, out)
+        return self._substitute(self.m, a)
 
     def conjugate(self) -> "CycloNumber":
         """Complex conjugation zeta -> zeta^-1."""
@@ -487,7 +508,7 @@ def _reduce_coords(m: int, prod: list[Fraction]) -> list[Fraction]:
     phi = euler_phi(m)
     if len(prod) <= phi:
         return list(prod) + [Fraction(0)] * (phi - len(prod))
-    rows = _reduction_rows(m)
+    rows = _power_rows(cyclotomic_poly(m), phi - 1)
     out = list(prod[:phi])
     for k in range(phi, len(prod)):
         c = prod[k]
@@ -581,75 +602,6 @@ def zeta(m: int, k: int = 1) -> CycloNumber:
     return CycloNumber.zeta_power(m, k)
 
 
-_ZETA_POWER_INT_CACHE: dict[tuple[int, int], tuple] = {}
-
-
-def _zeta_power_sparse_int(m: int, k: int):
-    """Sparse integer form of the zeta_m^k coordinates (reduction by the
-    monic integer cyclotomic polynomial keeps everything integral)."""
-    key = (m, k % m)
-    hit = _ZETA_POWER_INT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    coords = _zeta_power_coords(m, k)
-    sparse = []
-    for j, z in enumerate(coords):
-        if z:
-            sparse.append((j, z.numerator))
-    out = tuple(sparse)
-    _ZETA_POWER_INT_CACHE[key] = out
-    return out
-
-
-def accumulate_root_multiple(buf: list, big_m: int, x: CycloNumber,
-                             m: int, k: int) -> None:
-    """buf += x * zeta_m^k in place; buf holds coordinates at conductor big_m.
-
-    Hot-loop helper for Fourier sums: avoids intermediate CycloNumber
-    allocations.  Requires x.m | big_m and m | big_m.
-    """
-    if big_m % x.m or big_m % m:
-        raise ArithError("buffer conductor must absorb both factors")
-    lift = big_m // x.m
-    shift = (big_m // m) * (k % m)
-    for i, c in enumerate(x.coeffs):
-        if c == 0:
-            continue
-        for j, z in _zeta_power_sparse_int(big_m, i * lift + shift):
-            buf[j] += c * z
-
-
-def accumulate_root_multiple_int(buf: list, big_m: int, int_coeffs, lift: int,
-                                 shift: int) -> None:
-    """Integer version: buf and int_coeffs are plain integers."""
-    for i, c in enumerate(int_coeffs):
-        if c == 0:
-            continue
-        for j, z in _zeta_power_sparse_int(big_m, i * lift + shift):
-            buf[j] += c * z
-
-
-def common_denominator_scale(values) -> tuple[int, list]:
-    """(D, integer coefficient vectors) with D the lcm of all denominators."""
-    d = 1
-    for v in values:
-        for c in v.coeffs:
-            d = d * c.denominator // gcd(d, c.denominator)
-    scaled = [tuple(int(c * d) for c in v.coeffs) for v in values]
-    return d, scaled
-
-
-def cyclo_arith(x: CycloNumber, y: CycloNumber | None, op: str) -> CycloNumber:
-    """Dispatch wrapper: op in {'add','mul','inv'} (inv ignores y)."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "inv":
-        return x.inverse()
-    raise ArithError(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # truncated p-adic arithmetic
 # ---------------------------------------------------------------------------
@@ -701,8 +653,8 @@ class PadicRing:
         self.pN = p ** N
         self.dim = f * self.e
         self._unram_mod = _find_unramified_modulus(p, f, self.pN) if f > 1 else None
-        self._unram_rows = None
-        self._eis_rows = None
+        self._unram_rows = _power_rows(self._unram_mod + (1,), f - 1, self.pN) if f > 1 else ()
+        self._eis_rows = _power_rows(cyclotomic_poly(pk), self.e - 1, self.pN) if pk > 1 else ()
         self._frob_image = None
         self._teich_gen = None
 
@@ -773,44 +725,6 @@ class PadicRing:
             return self.from_int(self.p)
         return self.zeta_gen() - self.one()
 
-    # -- internal reduction tables ----------------------------------------
-
-    def _unram_reduction(self):
-        # rows for beta^k, k in [f, 2f-2]
-        if self._unram_rows is None:
-            f = self.unram_degree
-            mod = self._unram_mod
-            rows = []
-            current = [(-mod[i]) % self.pN for i in range(f)]
-            rows.append(list(current))
-            for _ in range(f - 2):
-                top = current[-1]
-                current = [0] + current[:-1]
-                if top:
-                    for i in range(f):
-                        current[i] = (current[i] + top * rows[0][i]) % self.pN
-                rows.append(list(current))
-            self._unram_rows = rows
-        return self._unram_rows
-
-    def _eis_reduction(self):
-        # rows for zeta^k, k in [e, 2e-2]; Phi_{p^k}(zeta) = 0
-        if self._eis_rows is None:
-            e = self.e
-            mod = cyclotomic_poly(self.eisenstein_pk)
-            rows = []
-            current = [(-mod[i]) % self.pN for i in range(e)]
-            rows.append(list(current))
-            for _ in range(e - 2):
-                top = current[-1]
-                current = [0] + current[:-1]
-                if top:
-                    for i in range(e):
-                        current[i] = (current[i] + top * rows[0][i]) % self.pN
-                rows.append(list(current))
-            self._eis_rows = rows
-        return self._eis_rows
-
     # -- canonical multiplicative generator of the Teichmueller part -------
 
     def teichmuller_generator(self) -> "PadicNumber":
@@ -840,52 +754,32 @@ class PadicRing:
         self._teich_gen = gen
         return gen
 
-    def add_zeta_shifted(self, buf: list, coords, shift: int, scalar: int = 1) -> None:
-        """buf += scalar * coords * zeta^shift, in place, mod p^N.
+    def add_zeta_shifted(self, buf: list, coords, shift: int) -> None:
+        """buf += coords * zeta^shift, in place; entries are not reduced mod p^N.
 
-        The Eisenstein modulus is the p^k-th cyclotomic polynomial, so the
-        shifted powers reduce through the same sparse integer rows as exact
-        cyclotomic arithmetic.
+        The Eisenstein modulus is the p^k-th cyclotomic polynomial, so each
+        unramified block goes through the exact cyclotomic kernel; callers
+        finish with from_coords.
         """
-        e, f, pN = self.e, self.unram_degree, self.pN
-        if e == 1:
-            for idx, c in enumerate(coords):
-                if c:
-                    buf[idx] = (buf[idx] + scalar * c) % pN
-            return
-        pk = self.eisenstein_pk
-        shift %= pk
-        for i in range(f):
-            base = i * e
-            for jz in range(e):
-                c = coords[base + jz]
-                if c:
-                    cs = scalar * c
-                    for idx, zval in _zeta_power_sparse_int(pk, jz + shift):
-                        buf[base + idx] = (buf[base + idx] + cs * zval) % pN
-        return
+        e, pk = self.e, self.eisenstein_pk
+        for base in range(0, self.dim, e):
+            _accumulate_roots(buf, pk, coords[base:base + e], 1, shift, base)
 
     def mul_zeta_power(self, x: "PadicNumber", shift: int) -> "PadicNumber":
         """x * zeta^shift via sparse index shifting (no dense product)."""
         buf = [0] * self.dim
         self.add_zeta_shifted(buf, x.coords, shift)
-        return PadicNumber(self, tuple(buf))
+        return self.from_coords(buf)
 
     def zeta_substitution(self, x: "PadicNumber", a: int) -> "PadicNumber":
         """The inertia action zeta -> zeta^a, coordinatewise via sparse rows."""
         if self.eisenstein_pk == 1:
             return x
-        e, f, pN = self.e, self.unram_degree, self.pN
-        pk = self.eisenstein_pk
+        e, pk = self.e, self.eisenstein_pk
         buf = [0] * self.dim
-        for i in range(f):
-            base = i * e
-            for jz in range(e):
-                c = x.coords[base + jz]
-                if c:
-                    for idx, zval in _zeta_power_sparse_int(pk, a * jz):
-                        buf[base + idx] = (buf[base + idx] + c * zval) % pN
-        return PadicNumber(self, tuple(buf))
+        for base in range(0, self.dim, e):
+            _accumulate_roots(buf, pk, x.coords[base:base + e], a, 0, base)
+        return self.from_coords(buf)
 
     def frobenius(self, x: "PadicNumber") -> "PadicNumber":
         """Ring automorphism lifting the p-power map on the residue field.
@@ -1077,7 +971,7 @@ class PadicNumber:
                             prod[idx] = (prod[idx] + c1 * c2) % pN
         # reduce zeta part within each beta-degree slot
         if e > 1:
-            rows = ring._eis_reduction()
+            rows = ring._eis_rows
             for bi in range(size_b):
                 row0 = bi * size_e
                 for k in range(size_e - 1, e - 1, -1):
@@ -1091,7 +985,7 @@ class PadicNumber:
         # reduce beta part
         out = [0] * ring.dim
         if f > 1:
-            urows = ring._unram_reduction()
+            urows = ring._unram_rows
             for bi in range(size_b - 1, f - 1, -1):
                 row0 = bi * size_e
                 red = urows[bi - f]

@@ -288,19 +288,13 @@ def ev_kernel_check(sg: SemidirectGroup, gamma_hom: GroupHom,
     irreps = classify_irreps(sg)
     gamma = gamma_hom.target
     delta_e = Measure.delta(gamma, ring)
-
-    def rep_key(r):
-        if r.kind == "linear":
-            return ("linear", r.chi.exponents, r.sign)
-        return ("induced", min(r.chi.exponents, r.chi_conj().exponents))
-
-    index = {rep_key(r): i for i, r in enumerate(irreps)}
+    index = {r.key: i for i, r in enumerate(irreps)}
     # twist invariance over every (rho, chi)
     for chi_g in char_table(gamma):
         pulled = gamma_hom.pullback_char(chi_g)
         for i, rho in enumerate(irreps):
             twisted = rho.tensor_char(pulled)
-            ti = index[rep_key(twisted)]
+            ti = index[twisted.key]
             expect = twist(family[i], chi_g.inverse())
             if family[ti] != expect:
                 return EvKernelReport(False, False, False, witness=(i, chi_g.exponents))

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from .arith import (
     ArithError,
     CycloNumber,
+    _accumulate_roots,
     discrete_log,
     euler_phi,
     is_prime,
@@ -199,23 +200,34 @@ def _restrict_exponent(p: int, n_max: int, k: int, n: int) -> int:
     return val * phis // phi
 
 
+def _character_sum(chi: LocalChar, t: int) -> CycloNumber:
+    """sum over units u mod p^n of chi(u) zeta_{p^n}^(t*u), in Q(zeta_m), m = p^n (p-1).
+
+    Units run over powers of the generator, so chi(g^j) = zeta_phi^(k*j);
+    exponents are counted mod m and the counts go through the root-sum
+    kernel once.
+    """
+    q = chi.modulus
+    phi = euler_phi(q)
+    m = lcm(phi, q)  # = p^n (p-1): the field housing both value sets
+    g = chi.generator()
+    counts = [0] * m
+    u = 1
+    for j in range(phi):
+        # chi(u) zeta_q^(t*u) with u = g^j, as one exponent mod m
+        counts[(chi.exponent * j * (m // phi) + t * u * (m // q)) % m] += 1
+        u = u * g % q
+    buf = [0] * euler_phi(m)
+    _accumulate_roots(buf, m, counts)
+    return CycloNumber._from_ints(m, buf)
+
+
 def gauss_sum(chi: LocalChar) -> CycloNumber:
     """G(chi) = sum over units a mod p^n of chi(a) zeta_{p^n}^{-a}."""
     if chi.n < 1:
         raise EpsilonError("gauss_sum needs conductor exponent >= 1 "
                            "(use epsilon_factor for the unramified case)")
-    q = chi.modulus
-    phi = euler_phi(q)
-    m = lcm(phi, q)  # = p^n (p-1): the field housing both value sets
-    total = CycloNumber.from_rational(0, m)
-    for a in range(1, q):
-        if a % chi.p == 0:
-            continue
-        vm, vk = chi.value_exponent(a)
-        # chi(a) * zeta_q^{-a}: combine exponents in the lcm field
-        k = vk * (m // vm) + (-a) * (m // q)
-        total = total + zeta(m, k)
-    return total
+    return _character_sum(chi, -1)
 
 
 def epsilon_factor(chi: LocalChar, additive: str = PSI_MINUS_X,
@@ -235,16 +247,7 @@ def epsilon_factor(chi: LocalChar, additive: str = PSI_MINUS_X,
         return CycloNumber.from_rational(1)
     if shift % chi.p == 0:
         raise EpsilonError("different shift must be a unit")
-    q = chi.modulus
-    phi = euler_phi(q)
-    m = lcm(phi, q)
-    total = CycloNumber.from_rational(0, m)
-    for u in range(1, q):
-        if u % chi.p == 0:
-            continue
-        vm, vk = chi.value_exponent(u)
-        k = vk * (m // vm) + sign * shift * u * (m // q)
-        total = total + zeta(m, k)
+    total = _character_sum(chi, sign * shift)
     if chi.unram_value is not None:
         scale = chi.unram_value
         for _ in range(chi.n - 1):

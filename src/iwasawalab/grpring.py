@@ -6,6 +6,19 @@ p-adic numbers, or symbolic expressions (the adapter for the last lives with
 the symbolic engine).  Towers of measures connected by pushforwards model
 inverse-limit elements.
 
+Coefficient-ring adapter contract: zero, one, from_int, from_fraction,
+from_cyclo, is_zero, inv, mul_by_root(x, m, k) = x * zeta_m^k, and
+root_sums(coeffs, m, exponent_rows), which returns
+sum_i coeffs[i] * zeta_m^row[i] for each row.  root_sums is the one place
+where a ring implements a root-of-unity sum: eval_char passes one row and
+fourier_invert passes |G| rows.  The cyclotomic adapter sums integer
+coordinates over one common denominator per call; the p-adic adapter
+shifts sparsely when every root of the call lies in mu_{p^k} and otherwise
+multiplies by cached Teichmueller images; the rational and symbolic
+adapters share the default, a sum of mul_by_root terms.  eval_char of a
+rational measure sums over the cyclotomic adapter, since character values
+are not rational in general.
+
 Conventions that matter downstream:
 
 * eval_char(f, chi) = sum_g f(g) chi(g); on convolutions this is
@@ -31,9 +44,8 @@ from .arith import (
     CycloNumber,
     PadicNumber,
     PadicRing,
-    accumulate_root_multiple,
-    accumulate_root_multiple_int,
-    common_denominator_scale,
+    _accumulate_roots,
+    _integer_coords,
     embed_cyclo_padic,
     euler_phi,
     factorize,
@@ -89,7 +101,20 @@ class UndecidableAtPrecision(MeasureError):
 # coefficient-ring adapters
 # ---------------------------------------------------------------------------
 
-class _RationalCoeffs:
+class _CoeffAdapter:
+    """Default root_sums of the adapter contract: a sum of mul_by_root terms."""
+
+    def root_sums(self, coeffs, m, exponent_rows):
+        out = []
+        for row in exponent_rows:
+            total = self.zero()
+            for c, k in zip(coeffs, row):
+                total = total + self.mul_by_root(c, m, k)
+            out.append(total)
+        return out
+
+
+class _RationalCoeffs(_CoeffAdapter):
     name = "rational"
 
     def zero(self):
@@ -127,7 +152,7 @@ class _RationalCoeffs:
         return "RATIONAL"
 
 
-class _CycloCoeffs:
+class _CycloCoeffs(_CoeffAdapter):
     name = "cyclotomic"
 
     def zero(self):
@@ -154,6 +179,22 @@ class _CycloCoeffs:
     def mul_by_root(self, x, m, k):
         return x.mul_root(m, k)
 
+    def root_sums(self, coeffs, m, exponent_rows):
+        big_m = m
+        for c in coeffs:
+            big_m = big_m * c.m // gcd(big_m, c.m)
+        den, ints = _integer_coords([c.coeffs for c in coeffs])
+        lifts = [big_m // c.m for c in coeffs]
+        step = big_m // m
+        phi = euler_phi(big_m)
+        out = []
+        for row in exponent_rows:
+            buf = [0] * phi
+            for vec, lift, k in zip(ints, lifts, row):
+                _accumulate_roots(buf, big_m, vec, lift, step * k)
+            out.append(CycloNumber._from_ints(big_m, buf, den))
+        return out
+
     def __repr__(self):
         return "CYCLO"
 
@@ -162,7 +203,7 @@ RATIONAL = _RationalCoeffs()
 CYCLO = _CycloCoeffs()
 
 
-class PadicCoeffs:
+class PadicCoeffs(_CoeffAdapter):
     """Adapter for a fixed PadicRing; caches root-of-unity images."""
 
     name = "padic"
@@ -206,6 +247,20 @@ class PadicCoeffs:
             # pure p-power root: a sparse index shift
             return ring.mul_zeta_power(x, (ring.eisenstein_pk // m) * (k % m))
         return x * self.root(m, k)
+
+    def root_sums(self, coeffs, m, exponent_rows):
+        ring = self.ring
+        pk = ring.eisenstein_pk
+        if not all(k * pk % m == 0 for row in exponent_rows for k in row):
+            return super().root_sums(coeffs, m, exponent_rows)
+        # every root lies in mu_{p^k}: sparse shifts of zeta
+        out = []
+        for row in exponent_rows:
+            buf = [0] * ring.dim
+            for c, k in zip(coeffs, row):
+                ring.add_zeta_shifted(buf, c.coords, k * pk // m)
+            out.append(ring.from_coords(buf))
+        return out
 
     def __repr__(self):
         return f"PadicCoeffs({self.ring!r})"
@@ -334,37 +389,11 @@ def eval_char(f: Measure, chi: GroupChar):
         raise MeasureError("eval_char needs an abelian group")
     if chi.group != f.group:
         raise MeasureError("character group mismatch")
-    ring = f.ring if f.ring is not RATIONAL else CYCLO
-    if f.ring is CYCLO:
-        big_m = chi.group.exponent()
-        items = list(f.coeffs.items())
-        for _, c in items:
-            big_m = big_m * c.m // gcd(big_m, c.m)
-        den, scaled = common_denominator_scale([c for _, c in items])
-        buf = [0] * euler_phi(big_m)
-        for (g, c), ints in zip(items, scaled):
-            m, k = chi.value_exponent(g)
-            lift = big_m // c.m
-            shift = (big_m // m) * (k % m)
-            accumulate_root_multiple_int(buf, big_m, ints, lift, shift)
-        return CycloNumber._make(big_m, tuple(Fraction(b, den) for b in buf))
-    if isinstance(ring, PadicCoeffs) and \
-            ring.ring.eisenstein_pk % chi.value_order() == 0:
-        ringp = ring.ring
-        pk = ringp.eisenstein_pk
-        buf = [0] * ringp.dim
-        for g, c in f.coeffs.items():
-            m, k = chi.value_exponent(g)
-            ringp.add_zeta_shifted(buf, c.coords, (pk // m) * (k % m))
-        return ringp.from_coords(buf)
-    total = ring.zero()
-    for g, c in f.coeffs.items():
-        m, k = chi.value_exponent(g)
-        if f.ring is RATIONAL:
-            total = total + zeta(m, k) * c
-        else:
-            total = total + ring.mul_by_root(c, m, k)
-    return total
+    ring, coeffs = f.ring, list(f.coeffs.values())
+    if ring is RATIONAL:
+        ring, coeffs = CYCLO, [CYCLO.from_fraction(c) for c in coeffs]
+    row = [chi.value_exponent(g)[1] for g in f.coeffs]
+    return ring.root_sums(coeffs, chi.group.exponent(), [row])[0]
 
 
 def eval_rep(f: Measure, rho: ArtinRep):
@@ -625,14 +654,14 @@ def build_theta_component(nu: Measure, psi_theta: GroupChar, delta_value,
         if sigma_delta not in group.subgroups[kernel_label]:
             raise MeasureError(f"sigma element lies outside subgroup {kernel_label!r}")
     ring = nu.ring
-    omega_inv = ring.inv(omega_p)
+    scale = delta_value * ring.inv(omega_p)
     sigma_inv = group.neg(sigma_delta)
     out: dict = {}
     for h, c in nu.coeffs.items():
         shifted = group.add(sigma_inv, h)
         x = pr.apply(shifted)
         m, k = psi_theta.value_exponent(group.neg(shifted))  # psi_theta^-1(shifted)
-        term = ring.mul_by_root(c * delta_value * omega_inv, m, k)
+        term = ring.mul_by_root(c * scale, m, k)
         out[x] = out[x] + term if x in out else term
     return Measure(pr.target, ring, out)
 
@@ -653,42 +682,11 @@ def fourier_invert(values: dict[GroupChar, object], group: FinAbGroup, ring) -> 
     if set(values) != set(table):
         raise MeasureError("need exactly one value per character")
     order = group.order()
-    raw: dict = {}
-    if ring is CYCLO:
-        big_m = group.exponent()
-        items = list(values.items())
-        for _, v in items:
-            big_m = big_m * v.m // gcd(big_m, v.m)
-        phi = euler_phi(big_m)
-        den, scaled = common_denominator_scale([v for _, v in items])
-        for g in group.elements():
-            ginv = group.neg(g)
-            buf = [0] * phi
-            for (chi, v), ints in zip(items, scaled):
-                m, k = chi.value_exponent(ginv)
-                accumulate_root_multiple_int(buf, big_m, ints, big_m // v.m,
-                                             (big_m // m) * (k % m))
-            raw[g] = CycloNumber._make(big_m, tuple(Fraction(b, den) for b in buf))
-    elif isinstance(ring, PadicCoeffs) and all(
-            ring.ring.eisenstein_pk % chi.value_order() == 0 for chi in table):
-        ringp = ring.ring
-        pk = ringp.eisenstein_pk
-        items = [(chi, v) for chi, v in values.items() if not v.is_zero()]
-        for g in group.elements():
-            ginv = group.neg(g)
-            buf = [0] * ringp.dim
-            for chi, v in items:
-                m, k = chi.value_exponent(ginv)
-                ringp.add_zeta_shifted(buf, v.coords, (pk // m) * (k % m))
-            raw[g] = ringp.from_coords(buf)
-    else:
-        for g in group.elements():
-            ginv = group.neg(g)
-            total = ring.zero()
-            for chi, v in values.items():
-                m, k = chi.value_exponent(ginv)
-                total = total + ring.mul_by_root(v, m, k)
-            raw[g] = total
+    chars = list(values)
+    elements = group.elements()
+    rows = [[chi.value_exponent(group.neg(g))[1] for chi in chars] for g in elements]
+    sums = ring.root_sums([values[chi] for chi in chars], group.exponent(), rows)
+    raw = dict(zip(elements, sums))
     if isinstance(ring, PadicCoeffs):
         p = ring.ring.p
         k, m = 0, order

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import CycloNumber
 from .chargroup import (
@@ -106,14 +107,15 @@ class ArtinRep:
             return ArtinRep(self.ambient, "linear", self.chi * xi, self.sign)
         return ArtinRep(self.ambient, "induced", self.chi * xi)
 
-    def same_character(self, other: "ArtinRep") -> bool:
-        if self.ambient.base != other.ambient.base:
-            return False
-        if self.kind != other.kind:
-            return False
+    @cached_property
+    def key(self) -> tuple:
+        """Canonical key of the character: Ind(chi) and Ind(chi^c) share one."""
         if self.kind == "linear":
-            return self.chi == other.chi and self.sign == other.sign
-        return {self.chi, self.chi_conj()} == {other.chi, other.chi_conj()}
+            return ("linear", self.chi.exponents, self.sign)
+        return ("induced", min(self.chi.exponents, self.chi_conj().exponents))
+
+    def same_character(self, other: "ArtinRep") -> bool:
+        return self.ambient.base == other.ambient.base and self.key == other.key
 
     def __repr__(self):
         if self.kind == "linear":

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .arith import CycloNumber, zeta
 from .chargroup import FinAbGroup, GroupChar, SemidirectGroup, char_table, conductor_exponent
-from .grpring import Measure, assemble_from_components, idempotent_split
+from .grpring import Measure, _CoeffAdapter, assemble_from_components, idempotent_split
 from .reps import ArtinRep, classify_irreps, rep_invariants
 
 __all__ = [
@@ -558,7 +559,7 @@ def _normalize(rel: Relation, scalar: CycloNumber, mono: Mono,
 # coefficient-ring adapter so measures can carry symbolic coefficients
 # ---------------------------------------------------------------------------
 
-class SymCoeffs:
+class SymCoeffs(_CoeffAdapter):
     name = "symbolic"
 
     def __init__(self, rel: Relation = Relation()):
@@ -662,11 +663,15 @@ class RatioContext:
         label = "pbar" if place in ("pb", "pbar") else "p"
         return conductor_exponent(self.chars[idx], label)
 
+    @cached_property
+    def _rep_lookup(self) -> dict[tuple, int]:
+        return {r.key: i for i, r in enumerate(self.reps)}
+
     def rep_index(self, rho: ArtinRep) -> int:
-        for i, r in enumerate(self.reps):
-            if r.same_character(rho):
-                return i
-        raise SymError("representation is not in the classified list")
+        i = self._rep_lookup.get(rho.key)
+        if i is None or rho.ambient.base != self.sg.base:
+            raise SymError("representation is not in the classified list")
+        return i
 
     # -- atom constructors (conjugation-normalized) ---------------------------
 

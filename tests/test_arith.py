@@ -17,7 +17,6 @@ from iwasawalab.arith import (
     CycloNumber,
     PadicRing,
     QuadFieldElem,
-    cyclo_arith,
     cyclotomic_poly,
     embed_cyclo_padic,
     euler_phi,
@@ -49,7 +48,7 @@ def test_inverse_of_one_plus_zeta3():
     # oracle: extended gcd of (1 + x) with x^2 + x + 1 over Q gives -x,
     # and (1 + z3) * (-z3) = -z3 - z3^2 = 1.
     x = 1 + zeta(3)
-    inv = cyclo_arith(x, None, "inv")
+    inv = x.inverse()
     assert inv == -zeta(3)
     assert x * inv == 1
 

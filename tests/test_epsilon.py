@@ -2,7 +2,7 @@
 
 import pytest
 
-from iwasawalab.arith import legendre_symbol, zeta
+from iwasawalab.arith import CycloNumber, legendre_symbol, zeta
 from iwasawalab.epsilon import (
     PSI_MINUS_X,
     PSI_X,
@@ -143,3 +143,27 @@ def test_inductivity_split():
     out = inductivity_split(a, b)
     assert out["epsilon"] == epsilon_factor(a) * epsilon_factor(b)
     assert out["conductor_exponent"] == 3
+
+
+def _naive_character_sum(chi, t):
+    """sum over units u mod p^n of chi(u) zeta_{p^n}^(t*u), one zeta term per unit."""
+    q = chi.modulus
+    m = q * (chi.p - 1)
+    total = CycloNumber.from_rational(0, m)
+    for u in range(1, q):
+        if u % chi.p:
+            vm, vk = chi.value_exponent(u)
+            total = total + zeta(m, vk * (m // vm) + t * u * (m // q))
+    return total
+
+
+@pytest.mark.parametrize("p, n_max, stride", [(5, 3, 3), (7, 2, 1)])
+def test_character_sums_match_naive_zeta_sums(p, n_max, stride):
+    # both additive conventions, a shift other than 1 and an unramified twist
+    u = zeta(4)
+    for chi in local_char_table(p, n_max)[1::stride]:
+        assert gauss_sum(chi) == _naive_character_sum(chi, -1)
+        assert epsilon_factor(chi, PSI_X) == _naive_character_sum(chi, 1)
+        twisted = LocalChar(chi.p, chi.n, chi.exponent, unram_value=u)
+        assert epsilon_factor(twisted, PSI_MINUS_X, shift=2) == \
+            u ** chi.n * _naive_character_sum(chi, -2)

@@ -198,14 +198,44 @@ def test_split_eval_contract():
             assert eval_char(f, full) == eval_char(comps[theta.exponents], chi1)
 
 
-def test_fourier_completeness_roundtrip():
-    g = FinAbGroup((5, 5))
+def _naive_eval_char(f, chi):
+    """sum_g f(g) ring.from_cyclo(chi(g)), one embedded root per term."""
+    ring = f.ring
+    roots = {}
+    total = ring.zero()
+    for g, c in f.coeffs.items():
+        key = chi.value_exponent(g)
+        if key not in roots:
+            roots[key] = ring.from_cyclo(chi.value(g))
+        total = total + c * roots[key]
+    return total
+
+
+@pytest.mark.parametrize("ring, orders, trials", [
+    (CYCLO, (5, 5), 10),
+    # every character value lies in mu_25: sparse zeta shifts
+    (PadicCoeffs(PadicRing(5, 8, 1, 25)), (25,), 4),
+    # fourth roots of unity are Teichmueller images
+    (PadicCoeffs(padic_ring_for_conductor(5, 100, 8)), (4, 25), 1),
+], ids=["cyclo-z5xz5", "padic-shift-z25", "padic-teichmuller-z4xz25"])
+def test_fourier_completeness_roundtrip(ring, orders, trials):
+    g = FinAbGroup(orders)
     rng = random.Random(10)
-    for _ in range(10):
-        f = random_measure(g, CYCLO, rng, density=0.3)
+    for _ in range(trials):
+        f = random_measure(g, ring, rng, density=0.3)
         values = eval_all_chars(f)
-        back = fourier_invert(values, g, CYCLO)
+        for chi in list(values)[::7]:
+            assert values[chi] == _naive_eval_char(f, chi)
+        back = fourier_invert(values, g, ring)
         assert back == f
+
+
+def test_rational_eval_char_is_the_cyclotomic_sum():
+    g = FinAbGroup((5, 5))
+    f = random_measure(g, RATIONAL, random.Random(12), density=0.5)
+    for chi in char_table(g):
+        expected = sum((chi.value(x) * c for x, c in f.coeffs.items()), CYCLO.zero())
+        assert eval_char(f, chi) == expected
 
 
 def test_is_unit_examples():

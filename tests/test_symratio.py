@@ -12,7 +12,9 @@ from iwasawalab.chargroup import (
     GroupChar,
     SemidirectGroup,
 )
+from iwasawalab.cli import RunConfig, load_tower
 from iwasawalab.grpring import Measure, PadicCoeffs, convolve, eval_rep, is_unit
+from iwasawalab.reps import induce
 from iwasawalab.symratio import (
     Relation,
     RatioContext,
@@ -349,3 +351,24 @@ def test_substitution_agrees_with_symbolic_canonical_form():
     n1, d1 = result.substitute_pair(env, ring)
     n2, d2 = expected_period_ratio(ctx, rho).substitute_pair(env, ring)
     assert n1 * d2 == n2 * d1
+
+
+def _reference_key(r):
+    if r.kind == "linear":
+        return ("linear", r.chi.exponents, r.sign)
+    return ("induced", frozenset((r.chi.exponents, r.chi_conj().exponents)))
+
+
+def test_rep_index_finds_every_classified_rep_of_the_shipped_tower():
+    spec = load_tower(RunConfig())
+    for level in spec.levels[:2]:
+        ctx = RatioContext(level.semidirect)
+        ref = [_reference_key(r) for r in ctx.reps]
+        for i, rho in enumerate(ctx.reps):
+            assert ctx.rep_index(rho) == i
+            if rho.kind == "induced":
+                assert ctx.rep_index(induce(ctx.sg, rho.chi_conj())) == i
+            dual = rho.contragredient()
+            assert ctx.rep_index(dual) == ref.index(_reference_key(dual))
+    with pytest.raises(SymError):
+        ctx.rep_index(level1_ctx().reps[-1])
