@@ -24,10 +24,13 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import rshift
 
 __all__ = [
     "MAX_CONDUCTOR",
@@ -264,6 +267,68 @@ def _integer_coords(vectors) -> tuple[int, list[list[int]]]:
     if d == 1:
         return 1, [[c.numerator for c in v] for v in vectors]
     return d, [[c.numerator * (d // c.denominator) for c in v] for v in vectors]
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes per slot for packed integers in [0, bound]."""
+    return max(1, (bound.bit_length() + 7) // 8)
+
+
+_WORD_BITS = 64
+_WORD_MASK = (1 << _WORD_BITS) - 1
+
+
+def _le_words(data) -> array:
+    """64-bit words from ints or little-endian bytes; tobytes() is little-endian."""
+    words = array("Q", data)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _pack(values, width: int) -> int:
+    """One integer holding nonnegative values in width-byte slots, slot 0 lowest."""
+    return int.from_bytes(_pack_bytes(values, width), "little")
+
+
+def _pack_bytes(values, width: int) -> bytes:
+    """Little-endian bytes of _pack(values, width).
+
+    Each value must fit its slot (array raises on a negative value or an
+    overflowing word).  The values go through 64-bit words in C and are
+    narrowed to width bytes with strided byte copies.
+    """
+    words = -(-width // 8)
+    if words > 1:
+        values = [v >> s & _WORD_MASK for v in values
+                  for s in range(0, _WORD_BITS * words, _WORD_BITS)]
+    raw = _le_words(values).tobytes()
+    stride = 8 * words
+    if width < stride:
+        narrow = bytearray(width * (len(raw) // stride))
+        for i in range(width):
+            narrow[i::width] = raw[i::stride]
+        raw = narrow
+    return raw
+
+
+def _unpack(n: int, count: int, width: int) -> list[int]:
+    """The first count width-byte slots of a nonnegative integer (inverse of _pack)."""
+    words = -(-width // 8)
+    stride = 8 * words
+    raw = n.to_bytes(width * count, "little")
+    if width < stride:
+        wide = bytearray(stride * count)
+        for i in range(width):
+            wide[i::stride] = raw[i::width]
+        raw = wide
+    ws = _le_words(raw).tolist()
+    if words == 1:
+        return ws
+    out = ws[0::words]
+    for t in range(1, words):
+        out = [a | b << (_WORD_BITS * t) for a, b in zip(out, ws[t::words])]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -622,6 +687,20 @@ class PadicRing:
     beta^i * zeta^j (i < f, j < phi(p^k)) with entries mod p^N, where beta
     generates the unramified part and zeta is a primitive p^k-th root of
     unity.  v(p) = 1, v(zeta - 1) = 1/phi(p^k).
+
+    Products and sums of zeta-power multiples run on packed integers: the
+    coordinates (each in [0, p^N)) sit in fixed-width byte slots of one
+    Python int, slot 0 lowest.  A product lays beta^i zeta^j at slot
+    i*s + j with row stride s = 2e-1, or cols_a + cols_b - 1 when the
+    factors use only zeta^j for j < cols (1 for values in Z_p), so one
+    big-integer multiply leaves the raw product on a (2f-1) x s grid that
+    _reduce_product rewrites.  The group-ring convolution in grpring puts
+    one axis of 2n-1 such grids in front for each cyclic factor Z/n.  The
+    shift kernel doubles each beta-block into 2p^k slots, so multiplying by
+    zeta^s, a rotation in Z[x]/(x^{p^k} - 1), is one right shift by p^k - s
+    slots.  A slot has as many bytes as the largest sum it receives needs:
+    (summands) * (p^N - 1)^2 for a product, (terms) * (p^N - 1) for a shift
+    sum, so no carry crosses a slot.
     """
 
     _instances: dict[_RingKey, "PadicRing"] = {}
@@ -654,7 +733,10 @@ class PadicRing:
         self.dim = f * self.e
         self._unram_mod = _find_unramified_modulus(p, f, self.pN) if f > 1 else None
         self._unram_rows = _power_rows(self._unram_mod + (1,), f - 1, self.pN) if f > 1 else ()
-        self._eis_rows = _power_rows(cyclotomic_poly(pk), self.e - 1, self.pN) if pk > 1 else ()
+        # zeta^(e+k), k < e-1, as sparse (index, value) pairs
+        self._eis_rows = tuple(tuple((j, r) for j, r in enumerate(row) if r)
+                               for row in _power_rows(cyclotomic_poly(pk), self.e - 1, self.pN))
+        self._mul_width = _slot_width(self.dim * (self.pN - 1) ** 2)
         self._frob_image = None
         self._teich_gen = None
 
@@ -754,22 +836,121 @@ class PadicRing:
         self._teich_gen = gen
         return gen
 
-    def add_zeta_shifted(self, buf: list, coords, shift: int) -> None:
-        """buf += coords * zeta^shift, in place; entries are not reduced mod p^N.
+    # -- packed-integer kernels -------------------------------------------
 
-        The Eisenstein modulus is the p^k-th cyclotomic polynomial, so each
-        unramified block goes through the exact cyclotomic kernel; callers
-        finish with from_coords.
+    def _extent(self, coords) -> tuple[int, int]:
+        """(rows, cols): coords vanish outside beta^i zeta^j, i < rows, j < cols."""
+        e = self.e
+        rows = cols = 0
+        for i in range(0, self.dim, e):
+            block = coords[i:i + e]
+            if any(block):
+                rows = i // e + 1
+                j = e
+                while not block[j - 1]:
+                    j -= 1
+                cols = max(cols, j)
+        return rows, cols
+
+    def _grid(self, coords, rows: int, cols: int, stride: int) -> list[int]:
+        """The rows x cols corner of coords, beta^i zeta^j at slot i*stride + j."""
+        e = self.e
+        gap = [0] * (stride - cols)
+        out: list[int] = []
+        for i in range(0, rows * e, e):
+            out += coords[i:i + cols]
+            out += gap
+        return out
+
+    def _reduce_product(self, raw: list[int], stride: int) -> tuple[int, ...]:
+        """Coordinates of a raw product of two _grid layouts.
+
+        raw[i*stride + j] is the unreduced coefficient of beta^i zeta^j, with
+        i < 2f-1 and j < stride <= 2e-1.  zeta^j for j >= e is rewritten with
+        _eis_rows and beta^i for i >= f with _unram_rows; each coordinate is
+        reduced mod p^N once, at the end.  PadicNumber.__mul__ and the packed
+        group-ring convolution both finish here.
         """
+        e, f = self.e, self.unram_degree
+        pad = [0] * (e - stride)
+        blocks = []
+        for base in range(0, len(raw), stride):
+            low = raw[base:base + min(e, stride)] + pad
+            for k, row in zip(range(base + e, base + stride), self._eis_rows):
+                c = raw[k]
+                if c:
+                    for j, r in row:
+                        low[j] += c * r
+            blocks.append(low)
+        blocks += [[0] * e for _ in range(f - len(blocks))]
+        for high, row in zip(blocks[f:], self._unram_rows):
+            for t, r in enumerate(row):
+                if r:
+                    blocks[t] = [a + r * b for a, b in zip(blocks[t], high)]
+        pN = self.pN
+        return tuple(c % pN for block in blocks[:f] for c in block)
+
+    def _rotation_pack(self, vectors, width: int) -> list[int]:
+        """Each coordinate vector with its beta-blocks doubled into 2p^k slots
+        (trailing zero blocks dropped): shifting right by p^k - s slots
+        multiplies every block by x^s in Z[x]/(x^{p^k} - 1)."""
         e, pk = self.e, self.eisenstein_pk
-        for base in range(0, self.dim, e):
-            _accumulate_roots(buf, pk, coords[base:base + e], 1, shift, base)
+        pad = [0] * (pk - e)
+        slots: list[int] = []
+        ends = []
+        for coords in vectors:
+            blocks = self.dim
+            while blocks and not any(coords[blocks - e:blocks]):
+                blocks -= e
+            for i in range(0, blocks, e):
+                block = list(coords[i:i + e]) + pad
+                slots += block
+                slots += block
+            ends.append(len(slots) * width)
+        raw = memoryview(_pack_bytes(slots, width))
+        out, start = [], 0
+        for end in ends:
+            out.append(int.from_bytes(raw[start:end], "little"))
+            start = end
+        return out
+
+    def _rotation_unpack(self, n: int, width: int) -> tuple[int, ...]:
+        """Coordinates of a sum of shifted _rotation_pack integers.
+
+        Slots [0, p^k) of each doubled block hold the sum in Z[x]/(x^{p^k} - 1);
+        mod Phi_{p^k}, x^(e+r) = -sum_t x^(r + t p^(k-1)), so coordinate j is
+        a[j] - a[e + j mod p^(k-1)], reduced mod p^N.
+        """
+        e, pk, pN = self.e, self.eisenstein_pk, self.pN
+        span = 2 * pk
+        blocks = -(-n.bit_length() // (8 * width * span))
+        vals = _unpack(n, span * blocks, width)
+        if pk == 1:
+            out = [v % pN for v in vals[0::2]]
+        else:
+            out = []
+            for base in range(0, len(vals), span):
+                a = vals[base:base + pk]
+                out += [(x - y) % pN for x, y in zip(a, a[e:] * (self.p - 1))]
+        return tuple(out) + (0,) * (self.dim - len(out))
+
+    def _shift_sums(self, vectors, m: int, exponent_rows) -> list[tuple[int, ...]]:
+        """Coordinates of sum_i vectors[i] * zeta_m^row[i] for each row, when
+        every such root lies in mu_{p^k}.
+
+        Each vector is packed once; zeta_m^k = zeta^(k p^k / m) is then one
+        right shift of it, and each row is unpacked once.
+        """
+        pk = self.eisenstein_pk
+        width = _slot_width(len(vectors) * (self.pN - 1))
+        packed = self._rotation_pack(vectors, width)
+        shifts = [(pk - k * pk // m % pk) * 8 * width for k in range(m)]
+        return [self._rotation_unpack(sum(map(rshift, packed, [shifts[k % m] for k in row])), width)
+                for row in exponent_rows]
 
     def mul_zeta_power(self, x: "PadicNumber", shift: int) -> "PadicNumber":
-        """x * zeta^shift via sparse index shifting (no dense product)."""
-        buf = [0] * self.dim
-        self.add_zeta_shifted(buf, x.coords, shift)
-        return self.from_coords(buf)
+        """x * zeta^shift: one shift of the packed coordinates (no dense product)."""
+        return PadicNumber(self, self._shift_sums([x.coords], self.eisenstein_pk, [[shift]])[0])
 
     def zeta_substitution(self, x: "PadicNumber", a: int) -> "PadicNumber":
         """The inertia action zeta -> zeta^a, coordinatewise via sparse rows."""
@@ -950,59 +1131,18 @@ class PadicNumber:
         if isinstance(other, Fraction):
             return self * self.ring.from_fraction(other)
         self._check(other)
+        a, b = self.coords, other.coords
+        # a factor in Z_p scales coordinates
+        if not any(b[1:]):
+            return self * b[0]
+        if not any(a[1:]):
+            return other * a[0]
         ring = self.ring
-        e, f, pN = ring.e, ring.unram_degree, ring.pN
-        # polynomial product in beta (degree f) and zeta (degree e)
-        size_b, size_e = 2 * f - 1, 2 * e - 1
-        prod = [0] * (size_b * size_e)
-        for i1 in range(f):
-            base1 = i1 * e
-            for j1 in range(e):
-                c1 = self.coords[base1 + j1]
-                if c1 == 0:
-                    continue
-                for i2 in range(f):
-                    base2 = i2 * e
-                    row = (i1 + i2) * size_e
-                    for j2 in range(e):
-                        c2 = other.coords[base2 + j2]
-                        if c2:
-                            idx = row + j1 + j2
-                            prod[idx] = (prod[idx] + c1 * c2) % pN
-        # reduce zeta part within each beta-degree slot
-        if e > 1:
-            rows = ring._eis_rows
-            for bi in range(size_b):
-                row0 = bi * size_e
-                for k in range(size_e - 1, e - 1, -1):
-                    c = prod[row0 + k]
-                    if c:
-                        prod[row0 + k] = 0
-                        red = rows[k - e]
-                        for i in range(e):
-                            if red[i]:
-                                prod[row0 + i] = (prod[row0 + i] + c * red[i]) % pN
-        # reduce beta part
-        out = [0] * ring.dim
-        if f > 1:
-            urows = ring._unram_rows
-            for bi in range(size_b - 1, f - 1, -1):
-                row0 = bi * size_e
-                red = urows[bi - f]
-                for j in range(e):
-                    c = prod[row0 + j]
-                    if c:
-                        for i in range(f):
-                            if red[i]:
-                                k = i * e + j
-                                out[k] = (out[k] + c * red[i]) % pN
-            for bi in range(f):
-                for j in range(e):
-                    out[bi * e + j] = (out[bi * e + j] + prod[bi * size_e + j]) % pN
-        else:
-            for j in range(e):
-                out[j] = prod[j]
-        return PadicNumber(ring, tuple(out))
+        f, e = ring.unram_degree, ring.e
+        stride, width = 2 * e - 1, ring._mul_width
+        prod = _pack(ring._grid(a, f, e, stride), width) * _pack(ring._grid(b, f, e, stride), width)
+        raw = _unpack(prod, (2 * f - 1) * stride, width)
+        return PadicNumber(ring, ring._reduce_product(raw, stride))
 
     __rmul__ = __mul__
 
@@ -1052,7 +1192,8 @@ class PadicNumber:
         return best
 
     def is_zero(self) -> bool:
-        return all(c % self.ring.pN == 0 for c in self.coords)
+        # coordinates are kept in [0, p^N)
+        return not any(self.coords)
 
     def is_unit(self) -> bool:
         v = self.valuation()
@@ -1105,7 +1246,8 @@ class PadicNumber:
         if any(c % pk for c in self.coords):
             raise ArithError(f"element is not divisible by p^{k}")
         smaller = PadicRing(ring.p, ring.precision - k, ring.unram_degree, ring.eisenstein_pk)
-        return smaller.from_coords([c // pk for c in self.coords])
+        # coordinates below p^N divide to coordinates below p^(N-k)
+        return PadicNumber(smaller, tuple(c // pk for c in self.coords))
 
     def reduce_precision(self, n: int) -> "PadicNumber":
         ring = self.ring

@@ -10,14 +10,24 @@ Coefficient-ring adapter contract: zero, one, from_int, from_fraction,
 from_cyclo, is_zero, inv, mul_by_root(x, m, k) = x * zeta_m^k, and
 root_sums(coeffs, m, exponent_rows), which returns
 sum_i coeffs[i] * zeta_m^row[i] for each row.  root_sums is the one place
-where a ring implements a root-of-unity sum: eval_char passes one row and
-fourier_invert passes |G| rows.  The cyclotomic adapter sums integer
-coordinates over one common denominator per call; the p-adic adapter
-shifts sparsely when every root of the call lies in mu_{p^k} and otherwise
-multiplies by cached Teichmueller images; the rational and symbolic
-adapters share the default, a sum of mul_by_root terms.  eval_char of a
-rational measure sums over the cyclotomic adapter, since character values
-are not rational in general.
+where a ring implements a root-of-unity sum: eval_char passes one row,
+eval_all_chars and fourier_invert pass |G| rows in one call, and
+idempotent_split and assemble_from_components make one call per point of
+the complementary group.  The cyclotomic adapter sums integer coordinates
+over one common denominator per call; the p-adic adapter runs on packed
+integers when every root of the call lies in mu_{p^k} (each coefficient is
+packed once per call and zeta^s is a shift of it, see PadicRing) and
+otherwise multiplies by cached Teichmueller images; the rational and
+symbolic adapters share the default, a sum of mul_by_root terms.
+eval_char of a rational measure sums over the cyclotomic adapter, since
+character values are not rational in general.  The character exponents
+chi(g) = zeta_m^k of a group are tabulated once per group.
+
+convolve of two p-adic measures on an abelian group is one big-integer
+product: each measure is packed as a polynomial in the group axes, beta and
+zeta (Kronecker substitution), and the product is folded mod each cyclic
+order and reduced once per element.  Measures on a semidirect group and the
+rational, cyclotomic and symbolic rings take the generic double loop.
 
 Conventions that matter downstream:
 
@@ -36,8 +46,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
+from functools import lru_cache
+from itertools import product
 from math import gcd
+from operator import add
 
 from .arith import (
     ArithError,
@@ -46,6 +58,9 @@ from .arith import (
     PadicRing,
     _accumulate_roots,
     _integer_coords,
+    _pack,
+    _slot_width,
+    _unpack,
     embed_cyclo_padic,
     euler_phi,
     factorize,
@@ -251,16 +266,11 @@ class PadicCoeffs(_CoeffAdapter):
     def root_sums(self, coeffs, m, exponent_rows):
         ring = self.ring
         pk = ring.eisenstein_pk
-        if not all(k * pk % m == 0 for row in exponent_rows for k in row):
+        if pk % m and not all(k * pk % m == 0 for row in exponent_rows for k in row):
             return super().root_sums(coeffs, m, exponent_rows)
-        # every root lies in mu_{p^k}: sparse shifts of zeta
-        out = []
-        for row in exponent_rows:
-            buf = [0] * ring.dim
-            for c, k in zip(coeffs, row):
-                ring.add_zeta_shifted(buf, c.coords, k * pk // m)
-            out.append(ring.from_coords(buf))
-        return out
+        # every root lies in mu_{p^k}: shifts of the packed coefficients
+        return [PadicNumber(ring, coords) for coords in
+                ring._shift_sums([c.coords for c in coeffs], m, exponent_rows)]
 
     def __repr__(self):
         return f"PadicCoeffs({self.ring!r})"
@@ -369,10 +379,97 @@ class Measure:
         return f"Measure({self.group!r}, {self.ring!r}, {{{items}{more}}})"
 
 
+@lru_cache(maxsize=None)
+def _char_exponents(orders: tuple[int, ...]):
+    """(index, table, inverse) for Z/n_1 x ... x Z/n_r, built once per group.
+
+    index maps an element to its position in elements() order; table[a][b]
+    is the k with chi_a(g_b) = zeta_m^k (m the group exponent, a in
+    char_table order, b in elements() order; the table is symmetric);
+    inverse[b] is the position of -g_b.
+    """
+    group = FinAbGroup(orders)
+    m = group.exponent()
+    weights = [m // n for n in orders]
+    elements = group.elements()
+    index = {g: i for i, g in enumerate(elements)}
+    table = tuple(tuple(sum(e * x * w for e, x, w in zip(a, g, weights)) % m
+                        for g in elements) for a in elements)
+    inverse = tuple(index[group.neg(g)] for g in elements)
+    return index, table, inverse
+
+
+@lru_cache(maxsize=None)
+def _conv_layout(orders: tuple[int, ...]):
+    """(elements, positions, fold): the Kronecker layout of a product on
+    Z/n_1 x ... x Z/n_r.
+
+    Axis i spans 2n_i - 1 blocks (the last axis fastest), so the product of
+    two packed measures has no wrap-around; positions[g] is the block of
+    element g, fold[t] the index in elements() of the element that product
+    block t folds onto mod each n_i.
+    """
+    spans = [2 * n - 1 for n in orders]
+    strides = [1] * len(orders)
+    for i in range(len(orders) - 2, -1, -1):
+        strides[i] = strides[i + 1] * spans[i + 1]
+    elements = FinAbGroup(orders).elements()
+    positions = {g: sum(x * s for x, s in zip(g, strides)) for g in elements}
+    index = {g: i for i, g in enumerate(elements)}
+    fold = [index[tuple(y % n for y, n in zip(ys, orders))]
+            for ys in product(*map(range, spans))]
+    return elements, positions, fold
+
+
+def _convolve_packed(f: Measure, g: Measure) -> Measure:
+    """convolve for p-adic measures on an abelian group: one big-integer product.
+
+    Each measure uses beta^i zeta^j only for i < rows, j < cols (its extent;
+    rows = cols = 1 for Z_p-valued measures), so every element of the
+    product is a grid of (rows_f + rows_g - 1) x (cols_f + cols_g - 1)
+    slots, at block positions[x] for a factor's element x.  After the
+    multiply every element sums the blocks that fold onto it and reduces
+    once; a slot receives at most min(|supp f|, |supp g|) * min(rows) *
+    min(cols) products of coordinates below p^N.
+    """
+    group, ring = f.group, f.ring.ring
+    if not f.coeffs or not g.coeffs:
+        return Measure(group, f.ring, {})
+    elements, positions, fold = _conv_layout(group.orders)
+    rf, cf = map(max, zip(*(ring._extent(c.coords) for c in f.coeffs.values())))
+    rg, cg = map(max, zip(*(ring._extent(c.coords) for c in g.coeffs.values())))
+    stride = cf + cg - 1
+    block = (rf + rg - 1) * stride
+    summands = min(len(f.coeffs), len(g.coeffs)) * min(rf, rg) * min(cf, cg)
+    width = _slot_width(summands * (ring.pN - 1) ** 2)
+
+    def pack(m: Measure, rows: int, cols: int) -> int:
+        slots = [0] * ((max(map(positions.__getitem__, m.coeffs)) + 1) * block)
+        for x, c in m.coeffs.items():
+            base = positions[x] * block
+            grid = ring._grid(c.coords, rows, cols, stride)
+            slots[base:base + len(grid)] = grid
+        return _pack(slots, width)
+
+    raw = _unpack(pack(f, rf, cf) * pack(g, rg, cg), len(fold) * block, width)
+    sums = [None] * len(elements)
+    for t, h in enumerate(fold):
+        part = raw[t * block:(t + 1) * block]
+        sums[h] = part if sums[h] is None else list(map(add, sums[h], part))
+    out = {}
+    for x, s in zip(elements, sums):
+        coords = ring._reduce_product(s, stride)
+        if any(coords):
+            out[x] = PadicNumber(ring, coords)
+    return Measure(group, f.ring, out)
+
+
 def convolve(f: Measure, g: Measure) -> Measure:
     """(f * g)(h) = sum over ab = h of f(a) g(b)."""
     f._check(g)
     group = f.group
+    if isinstance(group, FinAbGroup) and isinstance(f.ring, PadicCoeffs):
+        return _convolve_packed(f, g)
     mul = group.add if isinstance(group, FinAbGroup) else group.mul
     out: dict = {}
     for a, ca in f.coeffs.items():
@@ -467,15 +564,19 @@ def idempotent_split(f: Measure, delta_indices) -> dict[tuple, Measure]:
     except (ArithError, MeasureError, ZeroDivisionError) as exc:
         raise MeasureError(f"coefficient ring cannot split off Delta: {exc}") from exc
     thetas = char_table(delta_group)
-    components: dict[tuple, dict] = {theta.exponents: {} for theta in thetas}
+    index, table, _ = _char_exponents(delta_group.orders)
+    # f's coefficients grouped by their point x of the complementary group
+    by_point: dict[tuple, tuple[list, list]] = {}
     for g, c in f.coeffs.items():
-        d = tuple(g[i] for i in delta_indices)
-        x = tuple(g[i] for i in rest)
-        for theta in thetas:
-            m, k = theta.value_exponent(d)
-            term = ring.mul_by_root(c, m, k)
-            comp = components[theta.exponents]
-            comp[x] = comp[x] + term if x in comp else term
+        coeffs, ds = by_point.setdefault(tuple(g[i] for i in rest), ([], []))
+        coeffs.append(c)
+        ds.append(index[tuple(g[i] for i in delta_indices)])
+    m = delta_group.exponent()
+    components: dict[tuple, dict] = {theta.exponents: {} for theta in thetas}
+    for x, (coeffs, ds) in by_point.items():
+        sums = ring.root_sums(coeffs, m, [[row[d] for d in ds] for row in table])
+        for theta, value in zip(thetas, sums):
+            components[theta.exponents][x] = value
     return {key: Measure(part_group, ring, coeffs) for key, coeffs in components.items()}
 
 
@@ -490,21 +591,27 @@ def assemble_from_components(components: dict[tuple, Measure], group: FinAbGroup
     sample = next(iter(components.values()))
     ring = sample.ring
     inv_order = ring.inv(ring.from_int(delta_group.order()))
+    _, table, inverse = _char_exponents(delta_group.orders)
+    # the components' coefficients at each point x of the complementary group
+    by_point: dict[tuple, tuple[list, list]] = {}
+    for a, theta in enumerate(thetas):
+        for x, c in components[theta.exponents].coeffs.items():
+            coeffs, ts = by_point.setdefault(x, ([], []))
+            coeffs.append(c)
+            ts.append(a)
+    # sums[x][b] = sum over theta of theta(d_b^-1) component_theta(x)
+    m = delta_group.exponent()
+    sums = {x: ring.root_sums(coeffs, m, [[table[j][a] for a in ts] for j in inverse])
+            for x, (coeffs, ts) in by_point.items()}
     out: dict = {}
-    for d in delta_group.elements():
-        d_inv = delta_group.neg(d)
-        for theta in thetas:
-            comp = components[theta.exponents]
-            m, k = theta.value_exponent(d_inv)
-            for x, c in comp.coeffs.items():
-                g = [0] * group.rank
-                for idx, val in zip(delta_indices, d):
-                    g[idx] = val
-                for idx, val in zip(rest, x):
-                    g[idx] = val
-                g = tuple(g)
-                term = ring.mul_by_root(c, m, k) * inv_order
-                out[g] = out[g] + term if g in out else term
+    for b, d in enumerate(delta_group.elements()):
+        for x, values in sums.items():
+            g = [0] * group.rank
+            for idx, val in zip(delta_indices, d):
+                g[idx] = val
+            for idx, val in zip(rest, x):
+                g[idx] = val
+            out[tuple(g)] = values[b] * inv_order
     return Measure(group, ring, out)
 
 
@@ -603,9 +710,11 @@ def _newton_inverse(f: Measure) -> Measure:
     one = Measure.delta(group, ring)
     x = one.scale(ring.inv(f.augmentation()))
     two = one + one
+    fx = convolve(f, x)
     for _ in range(64):
-        x = convolve(x, two - convolve(f, x))
-        if convolve(f, x) == one:
+        x = convolve(x, two - fx)
+        fx = convolve(f, x)
+        if fx == one:
             return x
     raise UndecidableAtPrecision("inverse iteration did not converge")
 
@@ -682,22 +791,23 @@ def fourier_invert(values: dict[GroupChar, object], group: FinAbGroup, ring) -> 
     if set(values) != set(table):
         raise MeasureError("need exactly one value per character")
     order = group.order()
-    chars = list(values)
-    elements = group.elements()
-    rows = [[chi.value_exponent(group.neg(g))[1] for chi in chars] for g in elements]
-    sums = ring.root_sums([values[chi] for chi in chars], group.exponent(), rows)
-    raw = dict(zip(elements, sums))
+    _, exponents, inverse = _char_exponents(group.orders)
+    # row b holds chi(g_b^-1) for every chi, in char_table order
+    rows = [exponents[j] for j in inverse]
+    sums = ring.root_sums([values[chi] for chi in table], group.exponent(), rows)
+    raw = dict(zip(group.elements(), sums))
     if isinstance(ring, PadicCoeffs):
         p = ring.ring.p
         k, m = 0, order
         while m % p == 0:
             k += 1
             m //= p
-        inv_m = ring.inv(ring.from_int(m))
+        inv_m = pow(m, -1, ring.ring.pN)
         out_ring = ring
         out = {}
         for g, t in raw.items():
-            t = t * inv_m
+            if m != 1:
+                t = t * inv_m
             if k:
                 try:
                     t = t.divide_exact_p_power(k)
@@ -717,7 +827,17 @@ def fourier_invert(values: dict[GroupChar, object], group: FinAbGroup, ring) -> 
 
 
 def eval_all_chars(f: Measure) -> dict[GroupChar, object]:
-    return {chi: eval_char(f, chi) for chi in char_table(f.group)}
+    """chi -> eval_char(f, chi) for every character, in one root_sums call."""
+    group = f.group
+    if not isinstance(group, FinAbGroup):
+        raise MeasureError("eval_all_chars needs an abelian group")
+    ring, coeffs = f.ring, list(f.coeffs.values())
+    if ring is RATIONAL:
+        ring, coeffs = CYCLO, [CYCLO.from_fraction(c) for c in coeffs]
+    index, table, _ = _char_exponents(group.orders)
+    cols = [index[g] for g in f.coeffs]
+    rows = [[row[j] for j in cols] for row in table]
+    return dict(zip(char_table(group), ring.root_sums(coeffs, group.exponent(), rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,59 @@ def test_divide_exact_p_power_tracks_precision():
         ring.from_int(7).divide_exact_p_power(1)
 
 
+def _schoolbook_product(ring, a, b):
+    """Coordinates of a * b: the product on the beta^i zeta^j basis, reduced
+    by long division by Phi_{p^k} in zeta and by the unramified modulus in beta."""
+    e, f, pN = ring.e, ring.unram_degree, ring.pN
+    prod = [[0] * (2 * e - 1) for _ in range(2 * f - 1)]
+    for i1 in range(f):
+        for j1 in range(e):
+            for i2 in range(f):
+                for j2 in range(e):
+                    prod[i1 + i2][j1 + j2] += a[i1 * e + j1] * b[i2 * e + j2]
+    phi = cyclotomic_poly(ring.eisenstein_pk)
+    for row in prod:
+        for d in range(2 * e - 2, e - 1, -1):
+            c, row[d] = row[d], 0
+            for t in range(e):
+                row[d - e + t] -= c * phi[t]
+    low = ring._unram_mod if f > 1 else ()
+    for d in range(2 * f - 2, f - 1, -1):
+        top, prod[d] = prod[d], [0] * (2 * e - 1)
+        for t in range(f):
+            prod[d - f + t] = [x - low[t] * y for x, y in zip(prod[d - f + t], top)]
+    return tuple(prod[i][j] % pN for i in range(f) for j in range(e))
+
+
+@pytest.mark.parametrize("p, N, f, pk", [
+    (5, 6, 1, 25), (5, 5, 3, 25), (7, 4, 2, 49), (5, 4, 1, 125), (5, 6, 4, 1),
+    (5, 40, 2, 5),  # slots wider than one 64-bit word
+])
+def test_padic_product_matches_schoolbook(p, N, f, pk):
+    ring = PadicRing(p, N, f, pk)
+    rng = random.Random(20)
+    top = [ring.pN - 1] * ring.dim  # every slot at its carry bound
+    cases = [(top, top)]
+    for _ in range(4):
+        cases.append(tuple([rng.randrange(ring.pN) if rng.random() < 0.6 else 0
+                            for _ in range(ring.dim)] for _ in range(2)))
+    scalar = [0] * ring.dim
+    scalar[0] = rng.randrange(ring.pN)
+    cases.append((cases[1][0], scalar))
+    for a, b in cases:
+        assert (ring.from_coords(a) * ring.from_coords(b)).coords == _schoolbook_product(ring, a, b)
+
+
+@pytest.mark.parametrize("p, N, f, pk", [(5, 6, 2, 25), (5, 4, 1, 125), (7, 3, 3, 7)])
+def test_mul_zeta_power_is_multiplication_by_zeta_power(p, N, f, pk):
+    ring = PadicRing(p, N, f, pk)
+    rng = random.Random(21)
+    x = ring.from_coords([rng.randrange(ring.pN) for _ in range(ring.dim)])
+    z = ring.zeta_gen()
+    for s in range(pk):
+        assert ring.mul_zeta_power(x, s) == x * z ** s
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic-to-p-adic embedding
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import iwasawalab.grpring as grpring
 from iwasawalab.arith import PadicRing, padic_ring_for_conductor, padic_sqrt
 from iwasawalab.chargroup import (
     FinAbGroup,
@@ -228,6 +229,120 @@ def test_fourier_completeness_roundtrip(ring, orders, trials):
             assert values[chi] == _naive_eval_char(f, chi)
         back = fourier_invert(values, g, ring)
         assert back == f
+
+
+def test_fourier_roundtrip_z125_unramified_degree_4():
+    # the level-125 descent shape: precision 12 + 3, three powers of p divided out
+    ring = PadicRing(5, 15, 4, 125)
+    coeffs = PadicCoeffs(ring)
+    g = FinAbGroup((125,))
+    rng = random.Random(33)
+    f = Measure(g, coeffs, {(rng.randrange(125),): ring.from_coords(
+        [rng.randrange(ring.pN) for _ in range(ring.dim)]) for _ in range(6)})
+    back = fourier_invert(eval_all_chars(f), g, coeffs)
+    assert back.ring.ring.precision == 12
+    assert back == f
+
+
+@pytest.mark.parametrize("ring, orders", [
+    (CYCLO, (4, 5)),
+    (RATIONAL, (5,)),
+    (PadicCoeffs(PadicRing(5, 8, 2, 25)), (25,)),
+    (PadicCoeffs(padic_ring_for_conductor(5, 20, 6)), (4, 5)),
+], ids=["cyclo", "rational", "padic-shift", "padic-teichmuller"])
+def test_eval_all_chars_is_eval_char_per_character(ring, orders):
+    g = FinAbGroup(orders)
+    f = random_measure(g, ring, random.Random(32), density=0.5)
+    values = eval_all_chars(f)
+    assert list(values) == char_table(g)
+    assert values == {chi: eval_char(f, chi) for chi in char_table(g)}
+
+
+def test_eval_all_chars_makes_one_root_sums_call(monkeypatch):
+    ring = PadicCoeffs(PadicRing(5, 6, 1, 25))
+    f = random_measure(FinAbGroup((25,)), ring, random.Random(34))
+    calls = []
+    root_sums = PadicCoeffs.root_sums
+
+    def counted(self, *args):
+        calls.append(args)
+        return root_sums(self, *args)
+
+    monkeypatch.setattr(PadicCoeffs, "root_sums", counted)
+    eval_all_chars(f)
+    assert len(calls) == 1 and len(calls[0][2]) == 25
+
+
+def _double_loop(f, g):
+    """Reference convolution: one PadicNumber product per pair of points."""
+    mul = f.group.add if isinstance(f.group, FinAbGroup) else f.group.mul
+    out = {}
+    for a, ca in f.coeffs.items():
+        for b, cb in g.coeffs.items():
+            h = mul(a, b)
+            out[h] = out[h] + ca * cb if h in out else ca * cb
+    return Measure(f.group, f.ring, out)
+
+
+def _dense_padic_measure(group, coeffs, rng, points):
+    """Random coordinates in [0, p^N) on `points` random elements."""
+    ring = coeffs.ring
+    elements = rng.sample(group.elements(), min(points, group.order()))
+    return Measure(group, coeffs, {g: ring.from_coords(
+        [rng.randrange(ring.pN) for _ in range(ring.dim)]) for g in elements})
+
+
+@pytest.mark.parametrize("ring, orders, points", [
+    (PadicRing(5, 6, 1, 25), (4, 25), 12),
+    (PadicRing(5, 5, 2, 25), (25,), 10),
+    (PadicRing(5, 4, 1, 125), (125,), 6),
+    (PadicRing(7, 4, 2, 49), (3, 7), 6),
+    (PadicRing(5, 6, 3, 5), (4, 5), 12),
+    (PadicRing(5, 8, 3, 5), (5, 5), 12),
+    (PadicRing(5, 40, 2, 5), (5,), 5),  # slots wider than one 64-bit word
+    (PadicRing(5, 10), (4, 5), 20),
+], ids=lambda x: x.descriptor if isinstance(x, PadicRing) else str(x))
+def test_packed_convolve_matches_double_loop(ring, orders, points):
+    coeffs = PadicCoeffs(ring)
+    group = FinAbGroup(orders)
+    rng = random.Random(30)
+    f = _dense_padic_measure(group, coeffs, rng, points)
+    g = _dense_padic_measure(group, coeffs, rng, points)
+    zp = random_measure(group, coeffs, rng, density=0.5)  # Z_p-valued: a one-slot grid
+    point = Measure.delta(group, coeffs, group.elements()[-1]).scale(ring.from_int(3))
+    for a, b in [(f, g), (zp, f), (zp, zp), (point, g), (f, Measure.zero(group, coeffs))]:
+        assert convolve(a, b) == _double_loop(a, b)
+
+
+def test_packed_convolve_carry_boundary():
+    # every coordinate p^N - 1 on full support: each slot reaches its bound
+    ring = PadicRing(5, 6, 3, 5)
+    coeffs = PadicCoeffs(ring)
+    group = FinAbGroup((5, 5))
+    top = ring.from_coords([ring.pN - 1] * ring.dim)
+    f = Measure(group, coeffs, {g: top for g in group.elements()})
+    assert convolve(f, f) == _double_loop(f, f)
+
+
+def test_semidirect_convolve_takes_the_generic_loop(monkeypatch):
+    g = FinAbGroup((5,))
+    sg = SemidirectGroup(g, GroupAutomorphism.inversion(g))
+    ring = PadicRing(5, 6, 1, 5)
+    coeffs = PadicCoeffs(ring)
+    rng = random.Random(31)
+
+    def measure():
+        return Measure(sg, coeffs, {((x,), eps): ring.from_coords(
+            [rng.randrange(ring.pN) for _ in range(ring.dim)])
+            for x in range(5) for eps in (0, 1) if rng.random() < 0.6})
+
+    def packed(f, h):
+        raise AssertionError("semidirect measures must take the generic loop")
+
+    f, h = measure(), measure()
+    monkeypatch.setattr(grpring, "_convolve_packed", packed)
+    assert convolve(f, h) == _double_loop(f, h)
+    assert convolve(h, f) == _double_loop(h, f)
 
 
 def test_rational_eval_char_is_the_cyclotomic_sum():
