@@ -4,9 +4,13 @@ Three value families live here:
 
 * :class:`CycloNumber` -- exact elements of the m-th cyclotomic field,
   stored on the power basis of a primitive m-th root of unity modulo the
-  m-th cyclotomic polynomial, with `fractions.Fraction` coordinates.
-  Equality is syntactic on the canonical form, so identities such as
-  ``G * Gbar == p`` are decidable exactly.
+  m-th cyclotomic polynomial, as integer coordinates over one positive
+  common denominator (the layout of FLINT's fmpq_poly).  Cyclotomic
+  arithmetic runs on ints: products are schoolbook integer loops reduced
+  through the zeta-power table.  Fractions appear only at the edges: the
+  public constructor, ``.coeffs``, rational values and the extended Euclid
+  inside ``inverse``.  Equality is syntactic on the canonical form, so
+  identities such as ``G * Gbar == p`` are decidable exactly.
 
 * :class:`PadicNumber` -- truncated elements of Z_p or of a named finite
   extension.  Supported extension shapes: unramified of degree f,
@@ -29,8 +33,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from operator import rshift
+from math import gcd, lcm
+from operator import add, rshift
 
 __all__ = [
     "MAX_CONDUCTOR",
@@ -257,18 +261,6 @@ def _accumulate_roots(buf: list, m: int, coeffs, a: int = 1, b: int = 0,
                 buf[offset + j] += c * z
 
 
-def _integer_coords(vectors) -> tuple[int, list[list[int]]]:
-    """(d, integer vectors): d the lcm of all denominators, each vector scaled by d."""
-    d = 1
-    for v in vectors:
-        for c in v:
-            if d % c.denominator:
-                d = d * c.denominator // gcd(d, c.denominator)
-    if d == 1:
-        return 1, [[c.numerator for c in v] for v in vectors]
-    return d, [[c.numerator * (d // c.denominator) for c in v] for v in vectors]
-
-
 def _slot_width(bound: int) -> int:
     """Bytes per slot for packed integers in [0, bound]."""
     return max(1, (bound.bit_length() + 7) // 8)
@@ -331,11 +323,20 @@ def _unpack(n: int, count: int, width: int) -> list[int]:
     return out
 
 
+def _check_conductor(m: int) -> None:
+    if m < 1:
+        raise ArithError("conductor must be positive")
+    if m > MAX_CONDUCTOR:
+        raise ArithError(f"conductor {m} exceeds configured bound {MAX_CONDUCTOR}")
+
+
 @lru_cache(maxsize=None)
-def _zeta_coords(m: int, k: int) -> tuple[Fraction, ...]:
+def _zeta_num(m: int, k: int) -> tuple[int, ...]:
+    """Integer coordinates of zeta_m^k for k in [0, m)."""
     buf = [0] * euler_phi(m)
-    _accumulate_roots(buf, m, (1,), 0, k)
-    return tuple(Fraction(z) for z in buf)
+    for j, z in _zeta_table(m)[k]:
+        buf[j] = z
+    return tuple(buf)
 
 
 # ---------------------------------------------------------------------------
@@ -343,64 +344,80 @@ def _zeta_coords(m: int, k: int) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 
 class CycloNumber:
-    """Exact cyclotomic number: coefficient vector on the power basis mod Phi_m."""
+    """Exact element of the m-th cyclotomic field Q(zeta_m).
 
-    __slots__ = ("m", "coeffs")
+    The value is sum_i num[i] / den * zeta_m^i on the power basis mod Phi_m:
+    num is a tuple of phi(m) ints over one positive int den.  The form is
+    canonical, gcd(den, *num) == 1 (zero is (0, ..., 0) over 1), so two
+    values at one conductor are equal exactly when their (num, den) are.
+    Every operation runs on ints; .coeffs builds Fraction coordinates on
+    demand.
+    """
+
+    __slots__ = ("m", "num", "den")
 
     def __init__(self, m: int, coeffs):
-        if m < 1:
-            raise ArithError("conductor must be positive")
-        if m > MAX_CONDUCTOR:
-            raise ArithError(f"conductor {m} exceeds configured bound {MAX_CONDUCTOR}")
+        _check_conductor(m)
         phi = euler_phi(m)
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != phi:
             raise ArithError(f"need {phi} coordinates for conductor {m}, got {len(coeffs)}")
+        # the lcm of reduced denominators leaves gcd(den, *num) == 1
+        den = lcm(*(c.denominator for c in coeffs))
         self.m = m
-        self.coeffs = tuple(coeffs)
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _make(cls, m: int, coeffs: tuple) -> "CycloNumber":
-        # internal fast path: coeffs are already exact Fractions of the
-        # right length; skips the public constructor's re-validation
+    def _from_ints(cls, m: int, ints, den: int = 1) -> "CycloNumber":
+        """sum_i ints[i] / den * zeta_m^i (den > 0, phi(m) ints), in canonical form.
+
+        The one internal constructor: it skips the public validation.
+        """
+        num = tuple(ints)
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = tuple(c // g for c in num)
+                den //= g
         self = object.__new__(cls)
         self.m = m
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
         return self
-
-    @classmethod
-    def _from_ints(cls, m: int, ints, den: int = 1) -> "CycloNumber":
-        if den == 1:
-            return cls._make(m, tuple(map(Fraction, ints)))
-        return cls._make(m, tuple(Fraction(c, den) for c in ints))
 
     @staticmethod
     def from_rational(x, m: int = 1) -> "CycloNumber":
-        phi = euler_phi(m)
-        coeffs = [Fraction(0)] * phi
-        coeffs[0] = Fraction(x)
-        return CycloNumber(m, coeffs)
+        _check_conductor(m)
+        q = x if isinstance(x, (int, Fraction)) else Fraction(x)
+        return CycloNumber._from_ints(m, (q.numerator,) + (0,) * (euler_phi(m) - 1),
+                                      q.denominator)
 
     @staticmethod
     def zeta_power(m: int, k: int = 1) -> "CycloNumber":
-        if m < 1:
-            raise ArithError("conductor must be positive")
-        return CycloNumber._make(m, _zeta_coords(m, k % m))
+        _check_conductor(m)
+        return CycloNumber._from_ints(m, _zeta_num(m, k % m))
 
     # -- structure ----------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates num[i] / den as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ArithError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def lift_to(self, big_m: int) -> "CycloNumber":
         """Image under Q(zeta_m) -> Q(zeta_M) for m | M (exact, injective)."""
@@ -411,11 +428,10 @@ class CycloNumber:
         return self._substitute(big_m, big_m // self.m)
 
     def _substitute(self, big_m: int, a: int, b: int = 0) -> "CycloNumber":
-        """sum_i coeffs[i] * zeta_big_m^(a*i + b): lift, Galois action and root shift."""
-        den, (ints,) = _integer_coords([self.coeffs])
+        """sum_i num[i] / den * zeta_big_m^(a*i + b): lift, Galois action and root shift."""
         buf = [0] * euler_phi(big_m)
-        _accumulate_roots(buf, big_m, ints, a, b)
-        return CycloNumber._from_ints(big_m, buf, den)
+        _accumulate_roots(buf, big_m, self.num, a, b)
+        return CycloNumber._from_ints(big_m, buf, self.den)
 
     def descend_to(self, small_m: int) -> "CycloNumber":
         """Inverse of lift_to when the value lies in Q(zeta_small_m)."""
@@ -427,7 +443,8 @@ class CycloNumber:
         basis = [CycloNumber.zeta_power(small_m, k).lift_to(self.m) for k in range(phi_s)]
         # solve sum_k x_k * basis[k] = self by Gaussian elimination over Q
         phi_b = euler_phi(self.m)
-        rows = [[basis[k].coeffs[i] for k in range(phi_s)] + [self.coeffs[i]]
+        coeffs = self.coeffs
+        rows = [[basis[k].coeffs[i] for k in range(phi_s)] + [coeffs[i]]
                 for i in range(phi_b)]
         sol = _solve_exact(rows, phi_s)
         if sol is None:
@@ -454,14 +471,17 @@ class CycloNumber:
         raise TypeError(f"cannot coerce {type(x).__name__} to CycloNumber")
 
     def __add__(self, other):
-        other = CycloNumber._coerce(other)
-        a, b = CycloNumber._merge(self, other)
-        return CycloNumber._make(a.m, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        a, b = CycloNumber._merge(self, CycloNumber._coerce(other))
+        if a.den == b.den:
+            return CycloNumber._from_ints(a.m, map(add, a.num, b.num), a.den)
+        da, db = a.den, b.den
+        return CycloNumber._from_ints(a.m, [x * db + y * da for x, y in zip(a.num, b.num)],
+                                      da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNumber._make(self.m, tuple(-c for c in self.coeffs))
+        return CycloNumber._from_ints(self.m, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-CycloNumber._coerce(other))
@@ -469,27 +489,31 @@ class CycloNumber:
     def __rsub__(self, other):
         return CycloNumber._coerce(other) - self
 
+    def _scale(self, n: int, d: int) -> "CycloNumber":
+        """self * n / d for ints n and d > 0."""
+        return CycloNumber._from_ints(self.m, [c * n for c in self.num], self.den * d)
+
     def __mul__(self, other):
-        if isinstance(other, CycloNumber):
-            # a rational factor (conductor 1) scales coordinates
-            if other.m == 1:
-                other = other.coeffs[0]
-            elif self.m == 1:
-                self, other = other, self.coeffs[0]
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycloNumber._make(self.m, tuple(c * q for c in self.coeffs))
+            return self._scale(other.numerator, other.denominator)
         other = CycloNumber._coerce(other)
+        # a rational factor (conductor 1) scales coordinates
+        if other.m == 1:
+            return self._scale(other.num[0], other.den)
+        if self.m == 1:
+            return other._scale(self.num[0], self.den)
         a, b = CycloNumber._merge(self, other)
-        phi = len(a.coeffs)
-        prod = [Fraction(0)] * (2 * phi - 1)
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    prod[i + j] += x * y
-        return CycloNumber._make(a.m, tuple(_reduce_coords(a.m, prod)))
+        if a.num.count(0) < b.num.count(0):
+            a, b = b, a  # the outer loop runs over the sparser factor
+        m, phi = a.m, len(a.num)
+        prod = [0] * (2 * phi - 1)
+        for i, x in enumerate(a.num):
+            if x:
+                prod[i:i + phi] = map(add, prod[i:i + phi], [x * y for y in b.num])
+        # zeta^(phi + i) = zeta^((phi + i) mod m) reduces through the zeta-power table
+        out = prod[:phi]
+        _accumulate_roots(out, m, prod[phi:], 1, phi)
+        return CycloNumber._from_ints(m, out, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -503,11 +527,17 @@ class CycloNumber:
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
         if self.is_rational():
-            return CycloNumber.from_rational(1 / self.coeffs[0], self.m)
-        # extended gcd of self (as polynomial) with Phi_m over Q[x]
+            # 1 / (n / den) = den / n, the sign moved to the numerator
+            n = self.num[0]
+            return CycloNumber._from_ints(self.m, (self.den if n > 0 else -self.den,)
+                                          + self.num[1:], abs(n))
+        # 1 / (num / den) = den / num; extended gcd of num (as a polynomial)
+        # with Phi_m over Q[x]
         mod = [Fraction(c) for c in cyclotomic_poly(self.m)]
-        inv = _poly_modular_inverse(list(self.coeffs), mod)
-        return CycloNumber(self.m, _reduce_coords(self.m, inv))
+        inv = _poly_modular_inverse([Fraction(c) for c in self.num], mod)
+        # the Bezout coefficient has degree below phi(m)
+        inv += [0] * (len(self.num) - len(inv))
+        return CycloNumber(self.m, [c * self.den for c in inv])
 
     def __truediv__(self, other):
         other = CycloNumber._coerce(other)
@@ -542,22 +572,23 @@ class CycloNumber:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return self.is_rational() and self.num[0] == other * self.den
         if not isinstance(other, CycloNumber):
             return NotImplemented
         a, b = CycloNumber._merge(self, other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     def __hash__(self):
         # lifted copies at different conductors compare equal, so irrational
-        # values hash to a class constant to keep the hash/eq contract
+        # values hash to a class constant to keep the hash/eq contract; a
+        # rational value hashes as its Fraction (and so as an equal int)
         if self.is_rational():
-            return hash(self.coeffs[0])
+            return hash(Fraction(self.num[0], self.den))
         return hash("CycloNumber:irrational")
 
     def __repr__(self):
         if self.is_rational():
-            return f"Cyclo({self.coeffs[0]})"
+            return f"Cyclo({self.rational_value()})"
         terms = []
         for i, c in enumerate(self.coeffs):
             if c == 0:
@@ -567,23 +598,6 @@ class CycloNumber:
             else:
                 terms.append(f"{c}*z{self.m}^{i}" if c != 1 else f"z{self.m}^{i}")
         return "Cyclo(" + " + ".join(terms) + ")"
-
-
-def _reduce_coords(m: int, prod: list[Fraction]) -> list[Fraction]:
-    phi = euler_phi(m)
-    if len(prod) <= phi:
-        return list(prod) + [Fraction(0)] * (phi - len(prod))
-    rows = _power_rows(cyclotomic_poly(m), phi - 1)
-    out = list(prod[:phi])
-    for k in range(phi, len(prod)):
-        c = prod[k]
-        if c == 0:
-            continue
-        row = rows[k - phi]
-        for i in range(phi):
-            if row[i]:
-                out[i] += c * row[i]
-    return out
 
 
 def _poly_modular_inverse(a: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
@@ -1586,7 +1600,3 @@ class QuadFieldElem:
 
     def __repr__(self):
         return f"Quad({self.a} + {self.b}*sqrt(-{self.d}))"
-
-
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)

@@ -13,15 +13,20 @@ sum_i coeffs[i] * zeta_m^row[i] for each row.  root_sums is the one place
 where a ring implements a root-of-unity sum: eval_char passes one row,
 eval_all_chars and fourier_invert pass |G| rows in one call, and
 idempotent_split and assemble_from_components make one call per point of
-the complementary group.  The cyclotomic adapter sums integer coordinates
-over one common denominator per call; the p-adic adapter runs on packed
-integers when every root of the call lies in mu_{p^k} (each coefficient is
-packed once per call and zeta^s is a shift of it, see PadicRing) and
-otherwise multiplies by cached Teichmueller images; the rational and
-symbolic adapters share the default, a sum of mul_by_root terms.
+the complementary group.  The cyclotomic adapter scales every coefficient
+to one common denominator per call, adds each term's integer coordinates
+into slots indexed by the exponent of zeta (one strided slice per term)
+and reduces each row once through the zeta-power table.  The p-adic
+adapter runs on packed integers when every root of the call lies in
+mu_{p^k} (each coefficient is packed once per call and zeta^s is a shift
+of it, see PadicRing) and otherwise multiplies by cached Teichmueller
+images; the rational and symbolic adapters share the default, a sum of
+mul_by_root terms.
 eval_char of a rational measure sums over the cyclotomic adapter, since
-character values are not rational in general.  The character exponents
-chi(g) = zeta_m^k of a group are tabulated once per group.
+character values are not rational in general.  The exponents k of
+chi(g) = zeta_m^k are tabulated once per character, so a call that needs
+one character (eval_char, build_theta_component) builds one row, not the
+|G| x |G| table.
 
 convolve of two p-adic measures on an abelian group is one big-integer
 product: each measure is packed as a polynomial in the group axes, beta and
@@ -48,8 +53,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
-from operator import add
+from math import lcm
+from operator import add, mul
 
 from .arith import (
     ArithError,
@@ -57,7 +62,6 @@ from .arith import (
     PadicNumber,
     PadicRing,
     _accumulate_roots,
-    _integer_coords,
     _pack,
     _slot_width,
     _unpack,
@@ -79,6 +83,7 @@ from .reps import ArtinRep
 __all__ = [
     "MeasureError",
     "UndecidableAtPrecision",
+    "PrecisionExhausted",
     "RATIONAL",
     "CYCLO",
     "PadicCoeffs",
@@ -110,6 +115,11 @@ class MeasureError(ValueError):
 
 class UndecidableAtPrecision(MeasureError):
     """Unit test could not be decided at the working precision."""
+
+
+class PrecisionExhausted(MeasureError):
+    """Fourier inversion divides by p^v_p(|G|), which the working precision
+    cannot absorb."""
 
 
 # ---------------------------------------------------------------------------
@@ -195,18 +205,26 @@ class _CycloCoeffs(_CoeffAdapter):
         return x.mul_root(m, k)
 
     def root_sums(self, coeffs, m, exponent_rows):
-        big_m = m
-        for c in coeffs:
-            big_m = big_m * c.m // gcd(big_m, c.m)
-        den, ints = _integer_coords([c.coeffs for c in coeffs])
+        big_m = lcm(m, *(c.m for c in coeffs))
+        # every vector scaled to the lcm of the denominators
+        den = lcm(*(c.den for c in coeffs))
+        ints = [c.num if c.den == den else [x * (den // c.den) for x in c.num]
+                for c in coeffs]
         lifts = [big_m // c.m for c in coeffs]
         step = big_m // m
         phi = euler_phi(big_m)
         out = []
         for row in exponent_rows:
-            buf = [0] * phi
+            # coordinate i of a term is zeta_big_m^(lift*i + step*k), an exponent
+            # below 2*big_m (lift * phi(c.m) <= big_m): one strided slice per
+            # term, then one pass of the kernel per row
+            slots = [0] * (2 * big_m)
             for vec, lift, k in zip(ints, lifts, row):
-                _accumulate_roots(buf, big_m, vec, lift, step * k)
+                b = step * k % big_m
+                stop = b + lift * len(vec)
+                slots[b:stop:lift] = map(add, slots[b:stop:lift], vec)
+            buf = [0] * phi
+            _accumulate_roots(buf, big_m, slots)
             out.append(CycloNumber._from_ints(big_m, buf, den))
         return out
 
@@ -380,23 +398,32 @@ class Measure:
 
 
 @lru_cache(maxsize=None)
-def _char_exponents(orders: tuple[int, ...]):
-    """(index, table, inverse) for Z/n_1 x ... x Z/n_r, built once per group.
-
-    index maps an element to its position in elements() order; table[a][b]
-    is the k with chi_a(g_b) = zeta_m^k (m the group exponent, a in
-    char_table order, b in elements() order; the table is symmetric);
-    inverse[b] is the position of -g_b.
-    """
+def _group_index(orders: tuple[int, ...]):
+    """(index, inverse) for Z/n_1 x ... x Z/n_r: index maps an element to its
+    position in elements() order, inverse[b] is the position of -g_b."""
     group = FinAbGroup(orders)
-    m = group.exponent()
-    weights = [m // n for n in orders]
     elements = group.elements()
     index = {g: i for i, g in enumerate(elements)}
-    table = tuple(tuple(sum(e * x * w for e, x, w in zip(a, g, weights)) % m
-                        for g in elements) for a in elements)
-    inverse = tuple(index[group.neg(g)] for g in elements)
-    return index, table, inverse
+    return index, tuple(index[group.neg(g)] for g in elements)
+
+
+@lru_cache(maxsize=None)
+def _char_row(orders: tuple[int, ...], exponents: tuple[int, ...]) -> tuple[int, ...]:
+    """row[b] = k with chi(g_b) = zeta_m^k for the character chi with these
+    exponents (m the group exponent, b in elements() order), built once per
+    character."""
+    group = FinAbGroup(orders)
+    m = group.exponent()
+    weights = [e * (m // n) for e, n in zip(exponents, orders)]
+    return tuple(sum(map(mul, weights, g)) % m for g in group.elements())
+
+
+def _char_exponents(orders: tuple[int, ...]):
+    """(index, table, inverse) for Z/n_1 x ... x Z/n_r: table[a] is the
+    _char_row of the a-th character in char_table order (the table is
+    symmetric); index and inverse as in _group_index."""
+    index, inverse = _group_index(orders)
+    return index, tuple(_char_row(orders, a) for a in index), inverse
 
 
 @lru_cache(maxsize=None)
@@ -489,8 +516,10 @@ def eval_char(f: Measure, chi: GroupChar):
     ring, coeffs = f.ring, list(f.coeffs.values())
     if ring is RATIONAL:
         ring, coeffs = CYCLO, [CYCLO.from_fraction(c) for c in coeffs]
-    row = [chi.value_exponent(g)[1] for g in f.coeffs]
-    return ring.root_sums(coeffs, chi.group.exponent(), [row])[0]
+    index, _ = _group_index(f.group.orders)
+    exponents = _char_row(f.group.orders, chi.exponents)
+    row = [exponents[index[g]] for g in f.coeffs]
+    return ring.root_sums(coeffs, f.group.exponent(), [row])[0]
 
 
 def eval_rep(f: Measure, rho: ArtinRep):
@@ -765,14 +794,19 @@ def build_theta_component(nu: Measure, psi_theta: GroupChar, delta_value,
     ring = nu.ring
     scale = delta_value * ring.inv(omega_p)
     sigma_inv = group.neg(sigma_delta)
-    out: dict = {}
+    index, inverse = _group_index(group.orders)
+    psi_row = _char_row(group.orders, psi_theta.exponents)
+    # nu's coefficients grouped by their point x = pr(sigma^-1 h), each with
+    # the exponent of psi_theta^-1(sigma^-1 h)
+    by_point: dict[tuple, tuple[list, list]] = {}
     for h, c in nu.coeffs.items():
         shifted = group.add(sigma_inv, h)
-        x = pr.apply(shifted)
-        m, k = psi_theta.value_exponent(group.neg(shifted))  # psi_theta^-1(shifted)
-        term = ring.mul_by_root(c * scale, m, k)
-        out[x] = out[x] + term if x in out else term
-    return Measure(pr.target, ring, out)
+        coeffs, ks = by_point.setdefault(pr.apply(shifted), ([], []))
+        coeffs.append(c)
+        ks.append(psi_row[inverse[index[shifted]]])
+    m = group.exponent()
+    return Measure(pr.target, ring, {x: ring.root_sums(coeffs, m, [ks])[0] * scale
+                                     for x, (coeffs, ks) in by_point.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -785,23 +819,29 @@ def fourier_invert(values: dict[GroupChar, object], group: FinAbGroup, ring) -> 
 
     Over p-adic coefficients the p-part of |G| is divided out exactly, which
     drops the working precision by v_p(|G|); non-divisible sums (values that
-    are not the evaluation vector of an integral measure) raise.
+    are not the evaluation vector of an integral measure) raise, and so does
+    a precision of at most v_p(|G|) (PrecisionExhausted).
     """
     table = char_table(group)
     if set(values) != set(table):
         raise MeasureError("need exactly one value per character")
     order = group.order()
+    if isinstance(ring, PadicCoeffs):
+        p, precision = ring.ring.p, ring.ring.precision
+        k, m = 0, order
+        while m % p == 0:
+            k += 1
+            m //= p
+        if k >= precision:
+            raise PrecisionExhausted(
+                f"Fourier inversion over a group of order {order} loses "
+                f"v_{p}(|G|) = {k} digits of precision; the ring has precision {precision}")
     _, exponents, inverse = _char_exponents(group.orders)
     # row b holds chi(g_b^-1) for every chi, in char_table order
     rows = [exponents[j] for j in inverse]
     sums = ring.root_sums([values[chi] for chi in table], group.exponent(), rows)
     raw = dict(zip(group.elements(), sums))
     if isinstance(ring, PadicCoeffs):
-        p = ring.ring.p
-        k, m = 0, order
-        while m % p == 0:
-            k += 1
-            m //= p
         inv_m = pow(m, -1, ring.ring.pN)
         out_ring = ring
         out = {}

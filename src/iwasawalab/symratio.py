@@ -32,6 +32,7 @@ from .reps import ArtinRep, classify_irreps, rep_invariants
 
 __all__ = [
     "SymError",
+    "DivisionGuardExceeded",
     "Relation",
     "SymExpr",
     "SYM",
@@ -55,6 +56,11 @@ __all__ = [
 
 class SymError(ValueError):
     pass
+
+
+class DivisionGuardExceeded(SymError):
+    """Exact polynomial division gave up after its step guard: divisibility
+    is undecided, which is neither a quotient nor a residual factor."""
 
 
 # base symbols
@@ -142,8 +148,13 @@ def _mono_div(b: Mono, a: Mono) -> Mono:
     return _mono_from_dict(d)
 
 
+_DIVISION_STEPS = 4096
+
+
 def _poly_divide_exact(num: Poly, den: Poly) -> Poly | None:
-    """Multivariate long division; quotient if the remainder vanishes."""
+    """Multivariate long division: the quotient if the remainder vanishes,
+    None if it provably does not.  Raises DivisionGuardExceeded after
+    _DIVISION_STEPS steps, when divisibility is still undecided."""
     if not den:
         raise SymError("division by the zero polynomial")
     rem = dict(num)
@@ -152,8 +163,10 @@ def _poly_divide_exact(num: Poly, den: Poly) -> Poly | None:
     guard = 0
     while rem:
         guard += 1
-        if guard > 4096:
-            return None
+        if guard > _DIVISION_STEPS:
+            raise DivisionGuardExceeded(
+                f"exact division undecided after {_DIVISION_STEPS} steps "
+                f"({len(num)}-term dividend, {len(den)}-term divisor)")
         m = max(rem, key=_mono_key)
         c = rem[m]
         if not _mono_divides(lead_m, m):

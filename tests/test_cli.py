@@ -17,6 +17,12 @@ from iwasawalab.cli import (
 
 FAST_SUITES = ("epsilon", "ratio", "lattice", "reps")
 
+# The suites that run cyclotomic arithmetic, and the body checksum of their
+# report under the default config, recorded with the earlier Fraction-based
+# CycloNumber.  Every exact verdict and every repr in a witness feeds it.
+CYCLO_SUITES = ("epsilon", "gauss-sigma", "ratio", "measure", "katz")
+CYCLO_SUITES_SHA256 = "3d47642b3f645323eadd8a1b494a611f99d1abae0246dc55c005956e873d22ff"
+
 
 def test_empty_suite_list_exits_zero():
     config = RunConfig(suites=())
@@ -32,6 +38,12 @@ def test_default_fast_suites_pass():
     assert body["summary"]["failures"] == 0
     assert body["summary"]["errors"] == 0
     assert {s["name"] for s in body["suites"]} == set(FAST_SUITES)
+
+
+def test_cyclotomic_suites_body_checksum_is_pinned():
+    body, sidecar = run_suites(RunConfig(suites=CYCLO_SUITES))
+    assert body["summary"] == {"checks": 38, "failures": 0, "errors": 0}
+    assert sidecar["body_sha256"] == CYCLO_SUITES_SHA256
 
 
 def test_report_body_is_byte_stable():

@@ -16,6 +16,7 @@ from iwasawalab.chargroup import (
     char_table,
 )
 from iwasawalab.grpring import (
+    PrecisionExhausted,
     UndecidableAtPrecision,
     CYCLO,
     Measure,
@@ -229,6 +230,24 @@ def test_fourier_completeness_roundtrip(ring, orders, trials):
             assert values[chi] == _naive_eval_char(f, chi)
         back = fourier_invert(values, g, ring)
         assert back == f
+
+
+def test_fourier_invert_names_exhausted_precision():
+    # dividing out |G| = 5 takes the one digit of precision the ring has
+    g = FinAbGroup((5,))
+    coeffs = PadicCoeffs(PadicRing(5, 1, 2, 5))
+    values = {chi: coeffs.one() for chi in char_table(g)}
+    with pytest.raises(PrecisionExhausted, match=r"loses v_5\(\|G\|\) = 1 digits.*precision 1"):
+        fourier_invert(values, g, coeffs)
+    # one more digit suffices: all-ones values invert to the delta at 0
+    coeffs = PadicCoeffs(PadicRing(5, 2, 2, 5))
+    back = fourier_invert({chi: coeffs.one() for chi in char_table(g)}, g, coeffs)
+    assert back.ring.ring.precision == 1
+    assert back == Measure.delta(g, back.ring)
+    g = FinAbGroup((25,))
+    coeffs = PadicCoeffs(PadicRing(5, 2, 1, 25))
+    with pytest.raises(PrecisionExhausted, match="= 2 digits"):
+        fourier_invert({chi: coeffs.one() for chi in char_table(g)}, g, coeffs)
 
 
 def test_fourier_roundtrip_z125_unramified_degree_4():
@@ -464,6 +483,28 @@ def test_build_theta_component_evaluation_identity_and_linearity():
         lhs = eval_char(mu1, chi1)
         rhs = (delta_v / omega) * eta.value(C.neg(sigma)) * eval_char(nu1, eta)
         assert lhs == rhs
+
+
+def test_build_theta_component_matches_pointwise_definition():
+    # mu_theta(x) = Omega^-1 delta sum over h with pr(sigma^-1 h) = x of
+    # psi_theta^-1(sigma^-1 h) nu(h), summed term by term
+    C = FinAbGroup((4, 25))
+    G1 = FinAbGroup((25,))
+    pr = GroupHom(C, G1, ((0, 1),))
+    rng = random.Random(17)
+    psi_theta = GroupChar(C, (3, 11))
+    sigma = (2, 9)
+    delta_v = CYCLO.from_cyclo(GroupChar(C, (1, 0)).value((1, 0)) + F(1, 3))
+    omega = CYCLO.from_fraction(F(5, 7))
+    nu = random_measure(C, CYCLO, rng, density=0.4)
+    expected: dict = {}
+    for h, c in nu.coeffs.items():
+        shifted = C.add(C.neg(sigma), h)
+        term = c * delta_v / omega * psi_theta.value(C.neg(shifted))
+        x = pr.apply(shifted)
+        expected[x] = expected[x] + term if x in expected else term
+    got = build_theta_component(nu, psi_theta, delta_v, sigma, omega, pr)
+    assert got == Measure(G1, CYCLO, expected)
 
 
 def test_build_theta_component_rejects_sigma_outside_label():

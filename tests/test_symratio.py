@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from iwasawalab.arith import padic_ring_for_conductor, zeta
+import iwasawalab.symratio as symratio
+from iwasawalab.arith import CycloNumber, padic_ring_for_conductor, zeta
 from iwasawalab.chargroup import (
     FinAbGroup,
     GroupAutomorphism,
@@ -16,6 +17,7 @@ from iwasawalab.cli import RunConfig, load_tower
 from iwasawalab.grpring import Measure, PadicCoeffs, convolve, eval_rep, is_unit
 from iwasawalab.reps import induce
 from iwasawalab.symratio import (
+    DivisionGuardExceeded,
     Relation,
     RatioContext,
     SymError,
@@ -372,3 +374,17 @@ def test_rep_index_finds_every_classified_rep_of_the_shipped_tower():
             assert ctx.rep_index(dual) == ref.index(_reference_key(dual))
     with pytest.raises(SymError):
         ctx.rep_index(level1_ctx().reps[-1])
+
+
+def test_exact_division_guard_raises_instead_of_not_divisible():
+    # (x^5000 - 1) / (x - 1) is exact but needs 5000 long-division steps,
+    # more than the guard allows: undecided, not "no quotient"
+    one = CycloNumber.from_rational(1)
+    x = (("x", 1),)
+    num = (((("x", 5000),), one), ((), -one))
+    with pytest.raises(DivisionGuardExceeded, match="undecided after 4096 steps"):
+        symratio._poly_divide_exact(num, ((x, one), ((), -one)))
+    # within the guard the same shape divides, and a non-divisor gives None
+    small = (((("x", 50),), one), ((), -one))
+    assert len(symratio._poly_divide_exact(small, ((x, one), ((), -one)))) == 50
+    assert symratio._poly_divide_exact(small, ((x, one), ((), one + one))) is None
