@@ -8,9 +8,9 @@ Three value families live here:
   common denominator (the layout of FLINT's fmpq_poly).  Cyclotomic
   arithmetic runs on ints: products are schoolbook integer loops reduced
   through the zeta-power table.  Fractions appear only at the edges: the
-  public constructor, ``.coeffs``, rational values and the extended Euclid
-  inside ``inverse``.  Equality is syntactic on the canonical form, so
-  identities such as ``G * Gbar == p`` are decidable exactly.
+  public constructor, ``.coeffs`` and rational values.  Equality is
+  syntactic on the canonical form, so identities such as ``G * Gbar == p``
+  are decidable exactly.
 
 * :class:`PadicNumber` -- truncated elements of Z_p or of a named finite
   extension.  Supported extension shapes: unramified of degree f,
@@ -433,24 +433,6 @@ class CycloNumber:
         _accumulate_roots(buf, big_m, self.num, a, b)
         return CycloNumber._from_ints(big_m, buf, self.den)
 
-    def descend_to(self, small_m: int) -> "CycloNumber":
-        """Inverse of lift_to when the value lies in Q(zeta_small_m)."""
-        if self.m % small_m != 0:
-            raise ArithError(f"{small_m} does not divide {self.m}")
-        if small_m == self.m:
-            return self
-        phi_s = euler_phi(small_m)
-        basis = [CycloNumber.zeta_power(small_m, k).lift_to(self.m) for k in range(phi_s)]
-        # solve sum_k x_k * basis[k] = self by Gaussian elimination over Q
-        phi_b = euler_phi(self.m)
-        coeffs = self.coeffs
-        rows = [[basis[k].coeffs[i] for k in range(phi_s)] + [coeffs[i]]
-                for i in range(phi_b)]
-        sol = _solve_exact(rows, phi_s)
-        if sol is None:
-            raise ArithError("value does not lie in the requested subfield")
-        return CycloNumber(small_m, sol)
-
     # -- arithmetic ---------------------------------------------------
 
     @staticmethod
@@ -524,6 +506,13 @@ class CycloNumber:
         return self._substitute(self.m, 1, (self.m // m) * k)
 
     def inverse(self) -> "CycloNumber":
+        """1/x from the Galois norm N(x) = x * prod_{sigma != 1} sigma(x), a rational.
+
+        Keep y = x * acc, from acc = 1.  For each sigma_a in turn, with k the
+        orbit length of y under sigma_a, multiply y and acc by
+        prod_{0<i<k} sigma_a^i(y): y is then fixed by sigma_a and by every
+        automorphism that fixed it before.  Once y is rational, 1/x = acc / y.
+        """
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
         if self.is_rational():
@@ -531,13 +520,28 @@ class CycloNumber:
             n = self.num[0]
             return CycloNumber._from_ints(self.m, (self.den if n > 0 else -self.den,)
                                           + self.num[1:], abs(n))
-        # 1 / (num / den) = den / num; extended gcd of num (as a polynomial)
-        # with Phi_m over Q[x]
-        mod = [Fraction(c) for c in cyclotomic_poly(self.m)]
-        inv = _poly_modular_inverse([Fraction(c) for c in self.num], mod)
-        # the Bezout coefficient has degree below phi(m)
-        inv += [0] * (len(self.num) - len(inv))
-        return CycloNumber(self.m, [c * self.den for c in inv])
+        m = self.m
+        y, acc = self, CycloNumber.from_rational(1, m)
+        for a in range(2, m):
+            if y.is_rational():
+                break
+            if gcd(a, m) != 1:
+                continue
+            k, z = 1, y.galois(a)
+            while z != y:
+                k, z = k + 1, z.galois(a)
+            if k > 1:
+                rest = y._orbit_product(a, k - 1).galois(a)
+                y, acc = y * rest, acc * rest
+        return acc * Fraction(y.den, y.num[0])
+
+    def _orbit_product(self, a: int, n: int) -> "CycloNumber":
+        """prod_{i<n} sigma_a^i(self), by halving n (O(log n) products)."""
+        if n == 1:
+            return self
+        half = self._orbit_product(a, n // 2)
+        out = half * half.galois(pow(a, n // 2, self.m))
+        return self * out.galois(a) if n % 2 else out
 
     def __truediv__(self, other):
         other = CycloNumber._coerce(other)
@@ -598,82 +602,6 @@ class CycloNumber:
             else:
                 terms.append(f"{c}*z{self.m}^{i}" if c != 1 else f"z{self.m}^{i}")
         return "Cyclo(" + " + ".join(terms) + ")"
-
-
-def _poly_modular_inverse(a: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
-    """Inverse of a modulo mod in Q[x] via extended Euclid."""
-    def trim(p):
-        while len(p) > 1 and p[-1] == 0:
-            p.pop()
-        return p
-
-    def pdivmod(num, den):
-        num = list(num)
-        q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-        while len(num) >= len(den) and any(num):
-            if num[-1] == 0:
-                num.pop()
-                continue
-            c = num[-1] / den[-1]
-            k = len(num) - len(den)
-            q[k] = c
-            for i, dc in enumerate(den):
-                num[k + i] -= c * dc
-            num.pop()
-        return trim(q), trim(num if num else [Fraction(0)])
-
-    r0, r1 = list(mod), trim(list(a))
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while any(r1):
-        q, r = pdivmod(r0, r1)
-        # s = s0 - q*s1
-        s = [Fraction(0)] * max(len(s0), len(q) + len(s1) - 1)
-        for i, c in enumerate(s0):
-            s[i] += c
-        for i, qc in enumerate(q):
-            if qc == 0:
-                continue
-            for j, sc in enumerate(s1):
-                if sc:
-                    s[i + j] -= qc * sc
-        r0, r1, s0, s1 = r1, r, s1, trim(s)
-        if len(r0) == 1:
-            break
-    if len(r0) != 1 or r0[0] == 0:
-        raise ArithError("element is a zero divisor (should not happen in a field)")
-    lead = r0[0]
-    return [c / lead for c in s0]
-
-
-def _solve_exact(rows: list[list[Fraction]], ncols: int):
-    """Solve an overdetermined exact linear system; None if inconsistent."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][ncols]
-    # consistency: rows beyond rank must have zero rhs, and solution must verify
-    for i in range(len(pivots), nrows):
-        if rows[i][ncols] != 0:
-            return None
-    return sol
 
 
 def zeta(m: int, k: int = 1) -> CycloNumber:
@@ -769,9 +697,6 @@ class PadicRing:
 
     def __repr__(self):
         return f"PadicRing(p={self.p}, N={self.precision}, {self.descriptor})"
-
-    def residue_cardinality(self) -> int:
-        return self.p ** self.unram_degree
 
     # -- element constructors ---------------------------------------------
 
@@ -1168,8 +1093,9 @@ class PadicNumber:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- valuation / units --------------------------------------------------
@@ -1210,8 +1136,8 @@ class PadicNumber:
         return not any(self.coords)
 
     def is_unit(self) -> bool:
-        v = self.valuation()
-        return v is not None and v == 0
+        """Valuation 0, that is, a nonzero residue."""
+        return any(self.residue())
 
     def residue(self) -> tuple[int, ...]:
         """Image in the residue field F_{p^f} (zeta goes to 1)."""
@@ -1223,29 +1149,23 @@ class PadicNumber:
         return tuple(out)
 
     def inverse(self) -> "PadicNumber":
+        """1/x by Newton's iteration x <- x * (2 - self * x), started at r^(q-2) = 1/r
+        for the residue r in F_q = PadicRing(p, 1, f), q = p^f."""
         ring = self.ring
         if not self.is_unit():
             raise ArithError("cannot invert a non-unit at this precision")
-        # invert residue in F_{p^f}, lift by Newton iteration
-        res = self.residue()
-        if ring.unram_degree == 1:
-            x = ring.from_int(pow(res[0], -1, ring.p))
-        else:
-            mod = [c % ring.p for c in ring._unram_mod] + [1]
-            inv_res = _ff_inverse(list(res), mod, ring.p)
-            coords = [0] * ring.dim
-            for i, c in enumerate(inv_res):
-                coords[i * ring.e] = c
-            x = PadicNumber(ring, tuple(coords))
-        two = ring.from_int(2)
-        steps = max(6, ring.precision.bit_length() + ring.e.bit_length() + 3)
-        for _ in range(steps):
-            err = two - self * x
-            x = x * err
-            if (self * x) == ring.one():
+        # the residue field's modulus is the ring's unramified modulus mod p,
+        # so the F_q coordinates sit on the beta-coordinates beta^i zeta^0
+        start = PadicRing(ring.p, 1, ring.unram_degree).from_coords(self.residue())
+        coords = [0] * ring.dim
+        coords[::ring.e] = (start ** (ring.p ** ring.unram_degree - 2)).coords
+        x = PadicNumber(ring, tuple(coords))
+        one, two = ring.one(), ring.from_int(2)
+        for _ in range(max(6, ring.precision.bit_length() + ring.e.bit_length() + 3)):
+            sx = self * x
+            if sx == one:
                 return x
-        if (self * x) == ring.one():
-            return x
+            x = x * (two - sx)
         raise ArithError("inverse iteration failed to converge (precision loss)")
 
     def __truediv__(self, other):
@@ -1331,52 +1251,6 @@ def _int_val(c: int, p: int, cap: int) -> int:
         c //= p
         v += 1
     return v
-
-
-def _ff_inverse(a: list[int], mod: list[int], p: int) -> list[int]:
-    """Inverse in F_p[x]/(mod) by extended Euclid over F_p."""
-    def trim(x):
-        while len(x) > 1 and x[-1] % p == 0:
-            x.pop()
-        return x
-
-    def pdivmod(num, den):
-        num = [c % p for c in num]
-        q = [0] * max(1, len(num) - len(den) + 1)
-        inv_lead = pow(den[-1], -1, p)
-        while len(num) >= len(den) and any(num):
-            if num[-1] % p == 0:
-                num.pop()
-                continue
-            c = num[-1] * inv_lead % p
-            k = len(num) - len(den)
-            q[k] = c
-            for i, dc in enumerate(den):
-                num[k + i] = (num[k + i] - c * dc) % p
-            num.pop()
-        return trim(q), trim(num if num else [0])
-
-    r0, r1 = [c % p for c in mod], trim([c % p for c in a])
-    s0, s1 = [0], [1]
-    while any(r1):
-        q, r = pdivmod(r0, r1)
-        s = [0] * max(len(s0), len(q) + len(s1) - 1)
-        for i, c in enumerate(s0):
-            s[i] = (s[i] + c) % p
-        for i, qc in enumerate(q):
-            if qc:
-                for j, sc in enumerate(s1):
-                    if sc:
-                        s[i + j] = (s[i + j] - qc * sc) % p
-        r0, r1, s0, s1 = r1, r, s1, trim(s)
-        if len(r0) == 1 and r0[0] % p:
-            break
-    if len(r0) != 1 or r0[0] % p == 0:
-        raise ArithError("not invertible in residue field")
-    lead_inv = pow(r0[0], -1, p)
-    out = [c * lead_inv % p for c in s0]
-    deg = len(mod) - 1
-    return (out + [0] * deg)[:deg]
 
 
 def _teichmuller_lift(x: PadicNumber) -> PadicNumber:
@@ -1571,17 +1445,6 @@ class QuadFieldElem:
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / Fraction(other))
         return self * other.inverse()
-
-    def embed_split(self, p: int, precision: int) -> PadicNumber:
-        """Image in Q_p for split p (sqrt(-d) goes to the canonical padic_sqrt)."""
-        ring = PadicRing(p, precision)
-        delta = padic_sqrt(ring.from_int(-self.d))
-        den = lcm(self.a.denominator, self.b.denominator)
-        if den % p == 0:
-            raise ArithError(
-                "element has p in a denominator; "
-                "use valuation_at_split_prime for valuations")
-        return ring.from_fraction(self.a) + ring.from_fraction(self.b) * delta
 
     def valuation_at_split_prime(self, p: int, precision: int = 12) -> Fraction:
         """v_p(a + b*delta) for the canonical prime above split p."""

@@ -166,14 +166,6 @@ class GroupChar:
         object.__setattr__(self, "exponents",
                            tuple(e % n for e, n in zip(self.exponents, self.group.orders)))
 
-    def value_order(self) -> int:
-        """Order of the character (values lie in mu of this order)."""
-        o = 1
-        for e, n in zip(self.exponents, self.group.orders):
-            if e:
-                o = lcm(o, n // gcd(e, n))
-        return o
-
     def value(self, g) -> CycloNumber:
         g = self.group.normalize(g)
         m = self.group.exponent()

@@ -98,15 +98,6 @@ class DModel:
         """The inertia action zeta -> zeta^a (trivial on the unramified part)."""
         return self.ring.zeta_substitution(x, a)
 
-    def random_L_value(self, rng: random.Random, integral: bool = True) -> PadicNumber:
-        """Random element of the ramified slice (the L(rho) part)."""
-        ring = self.ring
-        span = ring.p ** min(4, ring.precision) if integral else ring.pN
-        coords = [0] * ring.dim
-        for j in range(ring.e):
-            coords[j] = rng.randrange(span)
-        return ring.from_coords(coords)
-
     def random_non_O_unit(self, rng: random.Random) -> PadicNumber:
         """A unit with a genuine unramified direction (violates the O-part)."""
         ring = self.ring

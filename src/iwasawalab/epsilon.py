@@ -139,17 +139,12 @@ class LocalChar:
             return CycloNumber.from_rational(1)
         return self.value(self.modulus - 1)
 
-    def is_quadratic(self) -> bool:
-        return self.n > 0 and (2 * self.exponent) % euler_phi(self.modulus) == 0
-
     def __repr__(self):
         extra = f", unram={self.unram_value}" if self.unram_value is not None else ""
         return f"LocalChar({self.p}:{self.n}:{self.exponent}{extra})"
 
 
 def _invert_scalar(v):
-    if isinstance(v, CycloNumber):
-        return v.inverse()
     if hasattr(v, "inverse"):
         return v.inverse()
     return 1 / v

@@ -387,10 +387,6 @@ class Measure:
             total = total + c
         return total
 
-    def map_coefficients(self, fn, ring=None) -> "Measure":
-        return Measure(self.group, ring or self.ring,
-                       {g: fn(c) for g, c in self.coeffs.items()})
-
     def __repr__(self):
         items = ", ".join(f"{g}:{c}" for g, c in sorted(self.coeffs.items())[:6])
         more = "..." if len(self.coeffs) > 6 else ""

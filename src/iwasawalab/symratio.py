@@ -208,10 +208,6 @@ class SymExpr:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def const(value, rel: Relation = Relation()) -> "SymExpr":
-        return SymExpr(rel, value)
-
-    @staticmethod
     def sym(name: str, power: int = 1, rel: Relation = Relation()) -> "SymExpr":
         return SymExpr(rel, 1, {name: power})
 

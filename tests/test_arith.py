@@ -63,13 +63,6 @@ def test_conductor_overflow():
         zeta(7) * zeta(2003)  # merged conductor beyond the configured bound
 
 
-def test_lift_round_trip():
-    for m, big in [(3, 6), (4, 20), (5, 15), (12, 24)]:
-        x = zeta(m) + 2 - 3 * zeta(m, 2 % euler_phi(m) if euler_phi(m) > 1 else 0)
-        lifted = x.lift_to(big)
-        assert lifted.descend_to(m) == x
-
-
 def test_galois_and_conjugation():
     x = zeta(5) + 2 * zeta(5, 2)
     assert x.galois(2) == zeta(5, 2) + 2 * zeta(5, 4)
@@ -155,6 +148,31 @@ def test_padic_unit_inversion_full_precision():
     x = ring.from_int(123456)
     assert x.is_unit()
     assert x * x.inverse() == ring.one()
+
+
+@pytest.mark.parametrize("p, f, pk", [
+    (p, f, pk) for p in (5, 7, 11, 13) for f in (1, 2, 3, 4)
+    for pk in ((1, 5, 25, 125) if p == 5 else (1, p))
+])
+def test_padic_units_invert_and_non_units_raise(p, f, pk):
+    rng = random.Random(p * 1000 + f * 10 + pk)
+    for N in (1, 4):
+        ring = PadicRing(p, N, f, pk)
+        if f > 1:
+            # the Newton start is a power in PadicRing(p, 1, f), which must
+            # reduce by the same modulus
+            assert PadicRing(p, 1, f)._unram_mod == tuple(c % p for c in ring._unram_mod)
+        for _ in range(2):
+            x = ring.from_coords([rng.randrange(ring.pN) for _ in range(ring.dim)])
+            if not any(x.residue()):
+                x = x + 1
+            # is_unit reads the residue; the valuation is its reference
+            assert x.is_unit() and x.valuation() == 0
+            assert x * x.inverse() == ring.one()
+            for y in (x * ring.uniformizer(), ring.zero()):
+                assert not y.is_unit() and y.valuation() != 0
+                with pytest.raises(ArithError):
+                    y.inverse()
 
 
 def test_eisenstein_uniformizer_valuation():

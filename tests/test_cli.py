@@ -23,6 +23,11 @@ FAST_SUITES = ("epsilon", "ratio", "lattice", "reps")
 CYCLO_SUITES = ("epsilon", "gauss-sigma", "ratio", "measure", "katz")
 CYCLO_SUITES_SHA256 = "3d47642b3f645323eadd8a1b494a611f99d1abae0246dc55c005956e873d22ff"
 
+# The descent suite inverts p-adic units in unramified extensions (f > 1);
+# its body checksum under the default config, recorded with the earlier
+# extended-Euclid residue-field inverse.
+DESCENT_SUITE_SHA256 = "31a15cf8c66b48bc7a5a42f5d761150b70abacb424e88da4f43cbcee69be1dde"
+
 
 def test_empty_suite_list_exits_zero():
     config = RunConfig(suites=())
@@ -44,6 +49,12 @@ def test_cyclotomic_suites_body_checksum_is_pinned():
     body, sidecar = run_suites(RunConfig(suites=CYCLO_SUITES))
     assert body["summary"] == {"checks": 38, "failures": 0, "errors": 0}
     assert sidecar["body_sha256"] == CYCLO_SUITES_SHA256
+
+
+def test_descent_suite_body_checksum_is_pinned():
+    body, sidecar = run_suites(RunConfig(suites=("descent",)))
+    assert body["summary"] == {"checks": 9, "failures": 0, "errors": 0}
+    assert sidecar["body_sha256"] == DESCENT_SUITE_SHA256
 
 
 def test_report_body_is_byte_stable():

@@ -8,6 +8,7 @@ contain it, so the verify checksum depends on it).
 """
 
 import random
+import time
 from fractions import Fraction as F
 from math import gcd
 
@@ -142,12 +143,24 @@ def _unit_mod(m, data):
 def test_canonical_form_after_every_operation(args):
     m, x, y = args
     results = [x + y, x - y, -x, x * y, x * F(-4, 6), x.mul_root(m, 7), x.conjugate()]
-    if not x.is_zero() and m <= 12:
-        # inverse runs a Fraction extended Euclid, slow at large conductors
-        results.append(x.inverse())
+    if not x.is_zero():
+        inv = x.inverse()
+        assert x * inv == 1
+        results.append(inv)
     for r in results:
         assert_canonical(r)
         assert r.m == m
+
+
+def test_inverse_of_sparse_value_at_conductor_500():
+    # an extended Euclid over Q took over a minute here, its remainders growing;
+    # the Galois norm takes a few hundredths of a second
+    x = zeta(500, 3) * F(7, 3) - zeta(500, 150) * F(5, 2) + zeta(500, 190)
+    start = time.perf_counter()
+    inv = x.inverse()
+    assert time.perf_counter() - start < 2.0
+    assert_canonical(inv)
+    assert x * inv == 1
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -182,8 +195,6 @@ def test_lift_is_a_ring_map(args, factor):
     assert lift(x + y, big) == lift(x, big) + lift(y, big)
     assert lift(x * y, big) == lift(x, big) * lift(y, big)
     assert lift(CycloNumber.from_rational(1, m), big) == 1
-    if m <= 12:
-        assert lift(x, big).descend_to(m) == x
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
