@@ -1064,11 +1064,13 @@ class PadicNumber:
         return self.ring.from_int(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            pN = self.ring.pN
-            return PadicNumber(self.ring, tuple(a * other % pN for a in self.coords))
-        if isinstance(other, Fraction):
-            return self * self.ring.from_fraction(other)
+        # PadicNumber first: the Fraction test goes through ABCMeta
+        if not isinstance(other, PadicNumber):
+            if isinstance(other, int):
+                pN = self.ring.pN
+                return PadicNumber(self.ring, tuple(a * other % pN for a in self.coords))
+            if isinstance(other, Fraction):
+                return self * self.ring.from_fraction(other)
         self._check(other)
         a, b = self.coords, other.coords
         # a factor in Z_p scales coordinates
@@ -1288,17 +1290,19 @@ def padic_sqrt(x: PadicNumber | int, p: int | None = None, precision: int | None
     ring = x.ring
     if ring.unram_degree != 1 or ring.eisenstein_pk != 1:
         raise ArithError("padic_sqrt is defined on the base ring only")
-    v = x.valuation()
-    if v is None or v != 0:
+    if not x.is_unit():
         raise ArithError("padic_sqrt needs a unit (zero valuation)")
     a0 = x.coords[0] % ring.p
     if legendre_symbol(a0, ring.p) != 1:
         raise ArithError(f"{a0} is not a quadratic residue mod {ring.p}")
     r0 = next(r for r in range(1, ring.p) if r * r % ring.p == a0)
-    y = ring.from_int(r0)
-    inv2 = ring.from_int(pow(2, -1, ring.pN))
+    # inverse square root z <- z (3 - x z^2) / 2 from z = 1/r0 mod p, then
+    # sqrt(x) = x z: no inverse per step
+    z = ring.from_int(pow(r0, -1, ring.p))
+    half = pow(2, -1, ring.pN)
     for _ in range(ring.precision.bit_length() + 2):
-        y = (y + x * y.inverse()) * inv2
+        z = z * (3 - x * z * z) * half
+    y = x * z
     if not (y * y == x):
         raise ArithError("sqrt iteration failed to converge")
     if y.coords[0] % ring.p > (ring.p - 1) // 2:

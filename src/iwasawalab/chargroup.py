@@ -15,10 +15,9 @@ about such finite quotients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
-from .arith import CycloNumber, euler_phi, lcm, zeta
+from .arith import CycloNumber, lcm, zeta
 
 __all__ = [
     "GroupError",
@@ -167,12 +166,7 @@ class GroupChar:
                            tuple(e % n for e, n in zip(self.exponents, self.group.orders)))
 
     def value(self, g) -> CycloNumber:
-        g = self.group.normalize(g)
-        m = self.group.exponent()
-        k = 0
-        for e, x, n in zip(self.exponents, g, self.group.orders):
-            k = (k + e * x * (m // n)) % m
-        return zeta(m, k)
+        return zeta(*self.value_exponent(g))
 
     def value_exponent(self, g) -> tuple[int, int]:
         """(m, k) with value = zeta_m^k; fast path avoiding CycloNumber."""

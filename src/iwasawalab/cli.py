@@ -16,7 +16,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
-    ArithError,
     CLASS_NUMBER_ONE_DISCS,
     QuadFieldElem,
     is_prime,

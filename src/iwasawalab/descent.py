@@ -20,18 +20,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .arith import ArithError, PadicNumber, PadicRing
+from .arith import PadicNumber, PadicRing
 from .chargroup import (
     FinAbGroup,
     GaloisAction,
     GroupChar,
-    GroupError,
     GroupHom,
     SemidirectGroup,
     char_table,
 )
 from .grpring import (
-    CYCLO,
     Measure,
     MeasureError,
     PadicCoeffs,

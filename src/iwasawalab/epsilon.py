@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import (
-    ArithError,
     CycloNumber,
     _accumulate_roots,
     discrete_log,

@@ -1,10 +1,10 @@
 """Group-ring elements as finite-level p-adic measures.
 
 A measure is a finitely supported coefficient map on a finite group, over one
-of four coefficient rings: exact rationals, cyclotomic numbers, truncated
-p-adic numbers, or symbolic expressions (the adapter for the last lives with
-the symbolic engine).  Towers of measures connected by pushforwards model
-inverse-limit elements.
+of three coefficient rings: cyclotomic numbers (a rational is one of
+conductor 1), truncated p-adic numbers, or symbolic expressions (the adapter
+for the last lives with the symbolic engine).  Towers of measures connected
+by pushforwards model inverse-limit elements.
 
 Coefficient-ring adapter contract: zero, one, from_int, from_fraction,
 from_cyclo, is_zero, inv, mul_by_root(x, m, k) = x * zeta_m^k, and
@@ -20,19 +20,16 @@ and reduces each row once through the zeta-power table.  The p-adic
 adapter runs on packed integers when every root of the call lies in
 mu_{p^k} (each coefficient is packed once per call and zeta^s is a shift
 of it, see PadicRing) and otherwise multiplies by cached Teichmueller
-images; the rational and symbolic adapters share the default, a sum of
-mul_by_root terms.
-eval_char of a rational measure sums over the cyclotomic adapter, since
-character values are not rational in general.  The exponents k of
-chi(g) = zeta_m^k are tabulated once per character, so a call that needs
-one character (eval_char, build_theta_component) builds one row, not the
-|G| x |G| table.
+images; the symbolic adapter takes the default, a sum of mul_by_root terms.
+The exponents k of chi(g) = zeta_m^k are tabulated once per character, so a
+call that needs one character (eval_char, build_theta_component, twist)
+builds one row, not the |G| x |G| table.
 
 convolve of two p-adic measures on an abelian group is one big-integer
 product: each measure is packed as a polynomial in the group axes, beta and
 zeta (Kronecker substitution), and the product is folded mod each cyclic
 order and reduced once per element.  Measures on a semidirect group and the
-rational, cyclotomic and symbolic rings take the generic double loop.
+cyclotomic and symbolic rings take the generic double loop.
 
 Conventions that matter downstream:
 
@@ -73,7 +70,6 @@ from .arith import (
 from .chargroup import (
     FinAbGroup,
     GroupChar,
-    GroupError,
     GroupHom,
     SemidirectGroup,
     char_table,
@@ -84,7 +80,6 @@ __all__ = [
     "MeasureError",
     "UndecidableAtPrecision",
     "PrecisionExhausted",
-    "RATIONAL",
     "CYCLO",
     "PadicCoeffs",
     "Measure",
@@ -137,44 +132,6 @@ class _CoeffAdapter:
                 total = total + self.mul_by_root(c, m, k)
             out.append(total)
         return out
-
-
-class _RationalCoeffs(_CoeffAdapter):
-    name = "rational"
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def from_int(self, n):
-        return Fraction(n)
-
-    def from_fraction(self, q):
-        return Fraction(q)
-
-    def from_cyclo(self, c: CycloNumber):
-        return c.rational_value()
-
-    def is_zero(self, x):
-        return x == 0
-
-    def inv(self, x):
-        if x == 0:
-            raise MeasureError("division by zero")
-        return 1 / Fraction(x)
-
-    def mul_by_root(self, x, m, k):
-        # only +-1 stay rational
-        if k % m == 0:
-            return x
-        if 2 * k % m == 0:
-            return -x
-        raise MeasureError("rational coefficients cannot absorb this root of unity")
-
-    def __repr__(self):
-        return "RATIONAL"
 
 
 class _CycloCoeffs(_CoeffAdapter):
@@ -232,7 +189,6 @@ class _CycloCoeffs(_CoeffAdapter):
         return "CYCLO"
 
 
-RATIONAL = _RationalCoeffs()
 CYCLO = _CycloCoeffs()
 
 
@@ -509,13 +465,10 @@ def eval_char(f: Measure, chi: GroupChar):
         raise MeasureError("eval_char needs an abelian group")
     if chi.group != f.group:
         raise MeasureError("character group mismatch")
-    ring, coeffs = f.ring, list(f.coeffs.values())
-    if ring is RATIONAL:
-        ring, coeffs = CYCLO, [CYCLO.from_fraction(c) for c in coeffs]
     index, _ = _group_index(f.group.orders)
     exponents = _char_row(f.group.orders, chi.exponents)
     row = [exponents[index[g]] for g in f.coeffs]
-    return ring.root_sums(coeffs, f.group.exponent(), [row])[0]
+    return f.ring.root_sums(list(f.coeffs.values()), f.group.exponent(), [row])[0]
 
 
 def eval_rep(f: Measure, rho: ArtinRep):
@@ -524,7 +477,7 @@ def eval_rep(f: Measure, rho: ArtinRep):
         raise MeasureError("eval_rep needs a measure on the semidirect group")
     if rho.ambient.base != f.group.base:
         raise MeasureError("representation lives on a different group")
-    ring = f.ring if f.ring is not RATIONAL else CYCLO
+    ring = f.ring
     n = rho.dimension
     acc = [[ring.zero() for _ in range(n)] for _ in range(n)]
     for g, c in f.coeffs.items():
@@ -551,11 +504,11 @@ def twist(f: Measure, chi: GroupChar) -> Measure:
     if chi.group != f.group:
         raise MeasureError("character group mismatch")
     ring = f.ring
-    out = {}
-    for g, c in f.coeffs.items():
-        m, k = chi.value_exponent(f.group.neg(g))
-        out[g] = ring.mul_by_root(c, m, k)
-    return Measure(f.group, ring, out)
+    index, inverse = _group_index(f.group.orders)
+    row = _char_row(f.group.orders, chi.exponents)
+    m = f.group.exponent()
+    return Measure(f.group, ring, {g: ring.mul_by_root(c, m, row[inverse[index[g]]])
+                                   for g, c in f.coeffs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +539,7 @@ def idempotent_split(f: Measure, delta_indices) -> dict[tuple, Measure]:
     try:
         ring.inv(ring.from_int(delta_group.order()))
         ring.from_cyclo(zeta(delta_group.exponent()))
-    except (ArithError, MeasureError, ZeroDivisionError) as exc:
+    except (ArithError, ZeroDivisionError) as exc:
         raise MeasureError(f"coefficient ring cannot split off Delta: {exc}") from exc
     thetas = char_table(delta_group)
     index, table, _ = _char_exponents(delta_group.orders)
@@ -855,11 +808,9 @@ def fourier_invert(values: dict[GroupChar, object], group: FinAbGroup, ring) -> 
             out_ring = PadicCoeffs(PadicRing(p, ring.ring.precision - k,
                                              ring.ring.unram_degree,
                                              ring.ring.eisenstein_pk))
-        return Measure(group, out_ring, {g: c for g, c in out.items()
-                                         if not c.is_zero()})
+        return Measure(group, out_ring, out)
     inv_order = ring.inv(ring.from_int(order))
-    return Measure(group, ring, {g: t * inv_order for g, t in raw.items()
-                                 if not ring.is_zero(t * inv_order)})
+    return Measure(group, ring, {g: t * inv_order for g, t in raw.items()})
 
 
 def eval_all_chars(f: Measure) -> dict[GroupChar, object]:
@@ -867,13 +818,11 @@ def eval_all_chars(f: Measure) -> dict[GroupChar, object]:
     group = f.group
     if not isinstance(group, FinAbGroup):
         raise MeasureError("eval_all_chars needs an abelian group")
-    ring, coeffs = f.ring, list(f.coeffs.values())
-    if ring is RATIONAL:
-        ring, coeffs = CYCLO, [CYCLO.from_fraction(c) for c in coeffs]
     index, table, _ = _char_exponents(group.orders)
     cols = [index[g] for g in f.coeffs]
     rows = [[row[j] for j in cols] for row in table]
-    return dict(zip(char_table(group), ring.root_sums(coeffs, group.exponent(), rows)))
+    sums = f.ring.root_sums(list(f.coeffs.values()), group.exponent(), rows)
+    return dict(zip(char_table(group), sums))
 
 
 # ---------------------------------------------------------------------------
@@ -917,8 +866,6 @@ class Tower:
 # ---------------------------------------------------------------------------
 
 def _coeff_to_text(ring, c) -> str:
-    if ring is RATIONAL:
-        return str(Fraction(c))
     if ring is CYCLO:
         return f"{c.m}:" + ",".join(str(x) for x in c.coeffs)
     if isinstance(ring, PadicCoeffs):
@@ -927,10 +874,10 @@ def _coeff_to_text(ring, c) -> str:
 
 
 def _coeff_from_text(ring, text: str):
-    if ring is RATIONAL:
-        return Fraction(text)
     if ring is CYCLO:
-        m, _, rest = text.partition(":")
+        m, colon, rest = text.partition(":")
+        if not colon:  # a bare rational, as in files tagged "ring = rational"
+            return CycloNumber.from_rational(Fraction(text))
         return CycloNumber(int(m), [Fraction(t) for t in rest.split(",")])
     if isinstance(ring, PadicCoeffs):
         return ring.ring.from_coords([int(t) for t in text.split(",")])
@@ -952,8 +899,6 @@ def measure_to_text(f: Measure) -> str:
 
 
 def _ring_tag(ring) -> str:
-    if ring is RATIONAL:
-        return "rational"
     if ring is CYCLO:
         return "cyclotomic"
     if isinstance(ring, PadicCoeffs):
@@ -975,9 +920,7 @@ def measure_from_text(text: str) -> Measure:
             group = FinAbGroup(orders)
         elif line.startswith("ring = "):
             tag = line[len("ring = "):]
-            if tag == "rational":
-                ring = RATIONAL
-            elif tag == "cyclotomic":
+            if tag in ("cyclotomic", "rational"):
                 ring = CYCLO
             elif tag.startswith("padic"):
                 kv = dict(part.split("=") for part in tag.split()[1:])

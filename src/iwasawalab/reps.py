@@ -10,7 +10,6 @@ deduplicate automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .arith import CycloNumber

@@ -20,7 +20,7 @@ Expansions of the Gamma function happen at positive integers only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial

@@ -22,7 +22,6 @@ from iwasawalab.grpring import (
     Measure,
     MeasureError,
     PadicCoeffs,
-    RATIONAL,
     Tower,
     assemble_from_components,
     build_theta_component,
@@ -50,24 +49,25 @@ def _z3():
 def test_convolution_unit_law_and_delta_product():
     g = FinAbGroup((6,))
     rng = random.Random(0)
-    f = random_measure(g, RATIONAL, rng)
-    assert convolve(Measure.delta(g, RATIONAL), f) == f
-    da, db = Measure.delta(g, RATIONAL, (2,)), Measure.delta(g, RATIONAL, (3,))
-    assert convolve(da, db) == Measure.delta(g, RATIONAL, (5,))
+    f = random_measure(g, CYCLO, rng)
+    assert convolve(Measure.delta(g, CYCLO), f) == f
+    da, db = Measure.delta(g, CYCLO, (2,)), Measure.delta(g, CYCLO, (3,))
+    assert convolve(da, db) == Measure.delta(g, CYCLO, (5,))
 
 
 def test_convolution_square_on_z3():
     g = _z3()
-    f = Measure(g, RATIONAL, {(0,): F(1), (1,): F(1)})
+    one, two = CYCLO.from_int(1), CYCLO.from_int(2)
+    f = Measure(g, CYCLO, {(0,): one, (1,): one})
     sq = convolve(f, f)
-    assert sq == Measure(g, RATIONAL, {(0,): F(1), (1,): F(2), (2,): F(1)})
+    assert sq == Measure(g, CYCLO, {(0,): one, (1,): two, (2,): one})
 
 
 def test_convolution_associative_commutative():
     g = FinAbGroup((2, 5))
     rng = random.Random(1)
     for _ in range(20):
-        a, b, c = (random_measure(g, RATIONAL, rng) for _ in range(3))
+        a, b, c = (random_measure(g, CYCLO, rng) for _ in range(3))
         assert convolve(a, b) == convolve(b, a)
         assert convolve(convolve(a, b), c) == convolve(a, convolve(b, c))
 
@@ -265,7 +265,7 @@ def test_fourier_roundtrip_z125_unramified_degree_4():
 
 @pytest.mark.parametrize("ring, orders", [
     (CYCLO, (4, 5)),
-    (RATIONAL, (5,)),
+    (CYCLO, (5,)),  # integer coefficients: a rational-valued measure
     (PadicCoeffs(PadicRing(5, 8, 2, 25)), (25,)),
     (PadicCoeffs(padic_ring_for_conductor(5, 20, 6)), (4, 5)),
 ], ids=["cyclo", "rational", "padic-shift", "padic-teichmuller"])
@@ -366,7 +366,8 @@ def test_semidirect_convolve_takes_the_generic_loop(monkeypatch):
 
 def test_rational_eval_char_is_the_cyclotomic_sum():
     g = FinAbGroup((5, 5))
-    f = random_measure(g, RATIONAL, random.Random(12), density=0.5)
+    f = random_measure(g, CYCLO, random.Random(12), density=0.5)
+    assert all(c.is_rational() for c in f.coeffs.values())
     for chi in char_table(g):
         expected = sum((chi.value(x) * c for x, c in f.coeffs.items()), CYCLO.zero())
         assert eval_char(f, chi) == expected
@@ -556,11 +557,33 @@ def test_tower_detects_incompatible_measures():
 def test_serialization_roundtrip_and_stability():
     g = FinAbGroup((4, 5))
     rng = random.Random(15)
-    for ring in (RATIONAL, CYCLO, PadicCoeffs(PadicRing(5, 6))):
+    for ring in (CYCLO, PadicCoeffs(PadicRing(5, 6))):
         f = random_measure(g, ring, rng, density=0.5)
         text = measure_to_text(f)
         assert measure_to_text(measure_from_text(text)) == text
         assert measure_from_text(text) == f
+
+
+def test_rational_text_reads_as_cyclotomic_and_writes_cyclotomic():
+    # files tagged "ring = rational" hold bare rationals; they read into CYCLO
+    text = ("measure/1\n"
+            "group = 4 5\n"
+            "ring = rational\n"
+            "0 0 | 3/2\n"
+            "1 4 | -2\n"
+            "3 2 | 7/9\n")
+    g = FinAbGroup((4, 5))
+    f = measure_from_text(text)
+    assert f.ring is CYCLO
+    assert f == Measure(g, CYCLO, {(0, 0): CYCLO.from_fraction(F(3, 2)),
+                                   (1, 4): CYCLO.from_int(-2),
+                                   (3, 2): CYCLO.from_fraction(F(7, 9))})
+    assert measure_to_text(f) == ("measure/1\n"
+                                  "group = 4 5\n"
+                                  "ring = cyclotomic\n"
+                                  "0 0 | 1:3/2\n"
+                                  "1 4 | 1:-2\n"
+                                  "3 2 | 1:7/9\n")
 
 
 def test_padic_extended_measure_contract_precision8():
