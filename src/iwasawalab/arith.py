@@ -44,7 +44,6 @@ __all__ = [
     "primitive_root",
     "discrete_log",
     "legendre_symbol",
-    "crt_pair",
     "cyclotomic_poly",
     "CycloNumber",
     "zeta",
@@ -154,14 +153,6 @@ def legendre_symbol(a: int, p: int) -> int:
         return 0
     r = pow(a, (p - 1) // 2, p)
     return 1 if r == 1 else -1
-
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    """x mod m1*m2 with x = r1 mod m1, x = r2 mod m2 (coprime moduli)."""
-    if gcd(m1, m2) != 1:
-        raise ArithError("crt_pair needs coprime moduli")
-    inv = pow(m1, -1, m2)
-    return (r1 + m1 * ((r2 - r1) * inv % m2)) % (m1 * m2)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from math import factorial
 
-from .arith import CLASS_NUMBER_ONE_DISCS, legendre_symbol, padic_ring_for_conductor
+from .arith import (CLASS_NUMBER_ONE_DISCS, legendre_symbol, padic_ring_for_conductor,
+                    primitive_root)
 from .chargroup import (
     FinAbGroup,
     GaloisAction,
@@ -75,14 +77,13 @@ from .reps import (classify_irreps, induce, inner_product_fast,
                    inner_product_with_char_fast)
 from .symratio import (
     RatioContext,
+    Relation,
     SymExpr,
-    build_char_interpolation_rhs,
     build_period_correction,
-    build_rep_interpolation_rhs,
     expected_period_ratio,
     gamma_ratio,
     period_correction_inverse,
-    reduce_ratio,
+    reduce_rep_ratio,
 )
 
 SCHEMA = "iwasawalab-report/1"
@@ -212,12 +213,7 @@ def suite_ratio(config: RunConfig, spec: TowerSpec) -> list[dict]:
     ok_inv = convolve(lom, lominv) == Measure.delta(ctx.sg, lom.ring)
     checks.append(_check("period-correction-inverse", ok_inv))
     for i, rho in enumerate(ctx.reps):
-        dual = rho.contragredient()
-        num = SymExpr(ctx.rel, 1)
-        for chix in dual.restriction():
-            num = num * build_char_interpolation_rhs(ctx, ctx.idx_of(chix), "elliptic-pbar")
-        den = build_rep_interpolation_rhs(ctx, rho, "elliptic")
-        result, trace = reduce_ratio(ctx, num, den, want_trace=config.trace)
+        result, trace = reduce_rep_ratio(ctx, rho, "elliptic", want_trace=config.trace)
         expected = expected_period_ratio(ctx, rho)
         ok = result.is_monomial() and result == expected
         closes = result == eval_rep(lom, rho)
@@ -235,8 +231,6 @@ def suite_weightk(config: RunConfig, spec: TowerSpec) -> list[dict]:
     for k in range(2, 7):
         for j in range(-3, 1):
             if 0 < k - 1 + j:
-                from math import factorial
-                from .symratio import Relation
                 expr = gamma_ratio(k, j, Relation(k, False))
                 want = SymExpr(Relation(k, False),
                                Fraction(factorial(-j), factorial(k - 2 + j)),
@@ -255,12 +249,7 @@ def suite_weightk(config: RunConfig, spec: TowerSpec) -> list[dict]:
                 ok = True
                 witness = None
                 for rho in reps_sample:
-                    num = SymExpr(ctx.rel, 1)
-                    for chix in rho.restriction():
-                        num = num * build_char_interpolation_rhs(
-                            ctx, ctx.idx_of(chix), variant, j)
-                    den = build_rep_interpolation_rhs(ctx, rho, variant, j)
-                    result, _ = reduce_ratio(ctx, num, den)
+                    result, _ = reduce_rep_ratio(ctx, rho, variant, j)
                     if not (result.is_monomial()
                             and result == expected_period_ratio(ctx, rho)):
                         ok = False
@@ -386,7 +375,7 @@ def suite_descent(config: RunConfig) -> list[dict]:
         check_model = DModel(p, expo, precision=config.precision,
                              unram_degree=f_deg)
         G = FinAbGroup((n,))
-        action = GaloisAction(((_primitive_unit(n),),))
+        action = GaloisAction(((primitive_root(n),),))
         ok = True
         witness = None
         for _ in range(count):
@@ -445,11 +434,6 @@ def suite_descent(config: RunConfig) -> list[dict]:
                          None, found=out.found, searched=out.searched,
                          note=out.note))
     return checks
-
-
-def _primitive_unit(n: int) -> int:
-    from .arith import primitive_root
-    return primitive_root(n)
 
 
 def suite_reps(config: RunConfig, spec: TowerSpec) -> list[dict]:
@@ -670,15 +654,7 @@ def main(argv=None) -> int:
         all_ok = True
         for i in indices:
             rho = ctx.reps[i]
-            source = rho.contragredient() if variant == "elliptic" else rho
-            char_variant = "elliptic-pbar" if variant == "elliptic" else variant
-            num = SymExpr(ctx.rel, 1)
-            for chix in source.restriction():
-                num = num * build_char_interpolation_rhs(ctx, ctx.idx_of(chix),
-                                                         char_variant, args.j)
-            den = build_rep_interpolation_rhs(ctx, rho, variant, args.j)
-            result, trace = reduce_ratio(ctx, num, den, j=args.j,
-                                         want_trace=args.trace)
+            result, trace = reduce_rep_ratio(ctx, rho, variant, args.j, want_trace=args.trace)
             expected = expected_period_ratio(ctx, rho)
             ok = result.is_monomial() and result == expected
             all_ok = all_ok and ok

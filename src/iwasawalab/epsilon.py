@@ -80,7 +80,7 @@ class LocalChar:
         if self.n < 0:
             raise EpsilonError("conductor exponent must be >= 0")
         if self.n == 0:
-            if self.exponent % 1:
+            if self.exponent:
                 raise EpsilonError("trivial ramified part cannot carry an exponent")
             object.__setattr__(self, "exponent", 0)
             return

@@ -334,9 +334,6 @@ class Measure:
     def __hash__(self):
         raise TypeError("measures are not hashable")
 
-    def support(self):
-        return sorted(self.coeffs)
-
     def augmentation(self):
         total = self.ring.zero()
         for c in self.coeffs.values():
@@ -485,13 +482,8 @@ def eval_rep(f: Measure, rho: ArtinRep):
         for i in range(n):
             for j in range(n):
                 entry = mat[i][j]
-                if entry.is_zero():
-                    continue
-                if entry.is_rational():
-                    term = c * ring.from_fraction(entry.rational_value())
-                else:
-                    term = c * ring.from_cyclo(entry)
-                acc[i][j] = acc[i][j] + term
+                if not entry.is_zero():
+                    acc[i][j] = acc[i][j] + c * ring.from_cyclo(entry)
     if n == 1:
         return acc[0][0]
     return acc[0][0] * acc[1][1] - acc[0][1] * acc[1][0]

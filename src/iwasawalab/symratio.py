@@ -12,7 +12,11 @@ Canonical form: a fraction with numerator and denominator kept as multisets
 of primitive polynomial factors in a fixed graded-lexicographic monomial
 order, leading coefficients normalized into the scalar, the relation
 u * w = p^(k-1) * eps_f applied by eliminating w, and i reduced modulo
-i^2 = -1.  L-values and prime-to-p epsilon factors are opaque unit atoms with
+i^2 = -1.  Every construction folds its factors into this form through one
+step (`_normalize`'s `absorb`), whether the factor comes from the input or
+from an exact division of a numerator factor by a denominator factor or the
+reverse; a power is a single construction over repeated factor lists.
+L-values and prime-to-p epsilon factors are opaque unit atoms with
 an explicit rewrite-rule list (inductivity, imprimitivity, epsilon
 splitting, the functional equation); nothing analytic is ever estimated.
 Expansions of the Gamma function happen at positive integers only.
@@ -23,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import factorial
 
 from .arith import CycloNumber, zeta
@@ -42,6 +47,7 @@ __all__ = [
     "build_char_interpolation_rhs",
     "build_rep_interpolation_rhs",
     "reduce_ratio",
+    "reduce_rep_ratio",
     "expected_period_ratio",
     "build_period_correction",
     "period_correction_inverse",
@@ -189,15 +195,12 @@ class SymExpr:
 
     __slots__ = ("rel", "scalar", "mono", "num", "den")
 
-    def __init__(self, rel: Relation, scalar, mono=None, num=(), den=(), _raw=False):
+    def __init__(self, rel: Relation, scalar, mono=None, num=(), den=()):
         if not isinstance(scalar, CycloNumber):
             scalar = CycloNumber.from_rational(Fraction(scalar))
         mono = mono or ()
         if isinstance(mono, dict):
             mono = _mono_from_dict(mono)
-        if _raw:
-            self.rel, self.scalar, self.mono, self.num, self.den = rel, scalar, mono, num, den
-            return
         scalar, mono, num, den = _normalize(rel, scalar, mono, list(num), list(den))
         self.rel = rel
         self.scalar = scalar
@@ -268,17 +271,17 @@ class SymExpr:
         return SymExpr(self.rel, other) / self
 
     def __pow__(self, n: int):
+        """The |n|-fold product of self (of its inverse when n < 0), built and
+        folded in one construction."""
         if n == 0:
             return SymExpr(self.rel, 1)
         base = self if n > 0 else self.inverse()
-        result = SymExpr(self.rel, 1)
-        for _ in range(abs(n)):
-            result = result * base
-        return result
+        n = abs(n)
+        return SymExpr(self.rel, base.scalar ** n, _mono_pow(base.mono, n),
+                       list(base.num) * n, list(base.den) * n)
 
     def __neg__(self):
-        return SymExpr(self.rel, -self.scalar, self.mono, list(self.num), list(self.den),
-                       _raw=False)
+        return SymExpr(self.rel, -self.scalar, self.mono, list(self.num), list(self.den))
 
     def _as_poly_pair(self) -> tuple[Poly, list[Poly]]:
         """(expanded numerator polynomial, denominator factor list)."""
@@ -327,9 +330,9 @@ class SymExpr:
 
     def __eq__(self, other):
         if not isinstance(other, SymExpr):
-            if self.is_zero():
-                return Fraction(other) == 0
-            return self.is_monomial() and not self.mono and self.scalar == other
+            if not isinstance(other, (int, Fraction, CycloNumber)):
+                return NotImplemented
+            other = SymExpr(self.rel, other)
         if self.rel != other.rel:
             return False
         if (self.scalar, self.mono) == (other.scalar, other.mono) and \
@@ -436,66 +439,76 @@ def _reduce_term(rel: Relation, mono_d: dict, coeff: CycloNumber):
     return {s: v for s, v in d.items() if v}, coeff
 
 
+def _canon(rel: Relation, poly: Poly) -> tuple[Mono, Poly] | None:
+    """(shift, poly): the factor with the relation applied to every term and
+    its negative exponents cleared, so that the original factor is
+    shift * poly with shift a monomial of exponents <= 0; None for zero."""
+    fixed: dict = {}
+    for m, c in poly:
+        mdict, c2 = _reduce_term(rel, dict(m), c)
+        key = _mono_from_dict(mdict)
+        fixed[key] = fixed[key] + c2 if key in fixed else c2
+    fixed = {m: c for m, c in fixed.items() if not c.is_zero()}
+    if not fixed:
+        return None
+    mins: dict = {}
+    for m in fixed:
+        for s, e in m:
+            if e < 0:
+                mins[s] = min(mins.get(s, 0), e)
+    shift = _mono_from_dict(mins)
+    if shift:
+        lift = _mono_pow(shift, -1)
+        fixed = {_mono_mul(m, lift): c for m, c in fixed.items()}
+    return shift, _poly_from_dict(fixed)
+
+
+_ZERO_FORM = (CycloNumber.from_rational(0), (), (), ())
+
+
 def _normalize(rel: Relation, scalar: CycloNumber, mono: Mono,
                num: list, den: list):
-    if scalar.is_zero():
-        return CycloNumber.from_rational(0), (), (), ()
-    # monomial part
-    md, scalar = _reduce_term(rel, dict(mono), scalar)
-    # polynomial factors
-    def canon(p) -> tuple[dict, Poly] | None:
-        if isinstance(p, tuple):
-            terms = {m: c for m, c in p}
-        else:
-            terms = dict(p)
-        fixed: dict = {}
-        for m, c in terms.items():
-            mdict, c2 = _reduce_term(rel, dict(m), c)
-            key = _mono_from_dict(mdict)
-            fixed[key] = fixed.get(key, CycloNumber.from_rational(0)) + c2
-        fixed = {m: c for m, c in fixed.items() if not c.is_zero()}
-        if not fixed:
-            return None  # zero factor
-        # clear negative exponents
-        mins: dict = {}
-        for m in fixed:
-            for s, e in m:
-                if e < 0:
-                    mins[s] = min(mins.get(s, 0), e)
-        shift = {s: -e for s, e in mins.items()}
-        if shift:
-            shifted = {}
-            for m, c in fixed.items():
-                shifted[_mono_mul(m, _mono_from_dict(shift))] = c
-            fixed = shifted
-        poly = _poly_from_dict(fixed)
-        return ({s: -e for s, e in shift.items()}, poly)
+    """The canonical form (scalar, mono, num, den) of
+    scalar * mono * prod(num) / prod(den).
 
-    new_num: list[Poly] = []
-    new_den: list[Poly] = []
-    for side_in, side_out, sign in ((num, new_num, 1), (den, new_den, -1)):
-        for p in side_in:
-            res = canon(p)
-            if res is None:
-                if sign == 1:
-                    return CycloNumber.from_rational(0), (), (), ()
+    Every factor, from the input or from an exact division, passes through
+    the one fold `absorb`: canonicalise it, move its monomial content and
+    leading coefficient into the monomial part and scalar, and keep what
+    is left as a factor of its side.  Identical factors then cancel, and
+    each numerator/denominator pair that divides exactly either way is
+    replaced by its folded quotient until no pair divides."""
+    if scalar.is_zero():
+        return _ZERO_FORM
+    md, scalar = _reduce_term(rel, dict(mono), scalar)
+    sides: dict[int, list[Poly]] = {1: [], -1: []}
+
+    def absorb(poly: Poly, sign: int) -> bool:
+        """Fold one factor into the numerator (sign 1) or the denominator
+        (sign -1); False if it is the zero polynomial in a numerator."""
+        nonlocal scalar
+        res = _canon(rel, poly)
+        if res is None:
+            if sign == -1:
                 raise SymError("zero polynomial in a denominator")
-            shift_mono, poly = res
-            for s, e in shift_mono.items():
-                md[s] = md.get(s, 0) + sign * e
-            # fold single-term polys into the monomial part
-            if len(poly) == 1:
-                m, c = poly[0]
-                for s, e in m:
-                    md[s] = md.get(s, 0) + sign * e
-                scalar = scalar * c if sign == 1 else scalar * c.inverse()
-                continue
-            # pull the leading coefficient into the scalar
-            lead = poly[0][1]
-            if not (lead == 1):
-                poly = _poly_scale(poly, lead.inverse())
-                scalar = scalar * lead if sign == 1 else scalar * lead.inverse()
-            side_out.append(poly)
+            return False
+        shift, poly = res
+        # a one-term factor joins the monomial part; a longer one is made monic
+        m, c = poly[0]
+        if len(poly) == 1:
+            shift = _mono_mul(shift, m)
+        else:
+            sides[sign].append(poly if c == 1 else _poly_scale(poly, c.inverse()))
+        for s, e in shift:
+            md[s] = md.get(s, 0) + sign * e
+        if len(poly) == 1 or not (c == 1):
+            scalar = scalar * c if sign == 1 else scalar * c.inverse()
+        return True
+
+    for side, sign in ((num, 1), (den, -1)):
+        for p in side:
+            if not absorb(p, sign):
+                return _ZERO_FORM
+    new_num, new_den = sides[1], sides[-1]
     # cancel identical factors
     i = 0
     while i < len(new_num):
@@ -509,56 +522,18 @@ def _normalize(rel: Relation, scalar: CycloNumber, mono: Mono,
     changed = True
     while changed and new_num and new_den:
         changed = False
-        for i, n in enumerate(new_num):
-            for j, d in enumerate(new_den):
-                q = _poly_divide_exact(n, d)
+        for (i, n), (j, d) in product(enumerate(new_num), enumerate(new_den)):
+            for a, b, sign in ((n, d, 1), (d, n, -1)):
+                q = _poly_divide_exact(a, b)
                 if q is not None:
-                    new_num.pop(i)
-                    new_den.pop(j)
-                    res = canon(q)
-                    if res is None:
-                        return CycloNumber.from_rational(0), (), (), ()
-                    shift_mono, poly = res
-                    for s, e in shift_mono.items():
-                        md[s] = md.get(s, 0) + e
-                    if len(poly) == 1:
-                        m, c = poly[0]
-                        for s, e in m:
-                            md[s] = md.get(s, 0) + e
-                        scalar = scalar * c
-                    else:
-                        lead = poly[0][1]
-                        if not (lead == 1):
-                            poly = _poly_scale(poly, lead.inverse())
-                            scalar = scalar * lead
-                        new_num.append(poly)
-                    changed = True
                     break
-                q = _poly_divide_exact(d, n)
-                if q is not None:
-                    new_den.pop(j)
-                    new_num.pop(i)
-                    res = canon(q)
-                    if res is None:
-                        raise SymError("zero polynomial in a denominator")
-                    shift_mono, poly = res
-                    for s, e in shift_mono.items():
-                        md[s] = md.get(s, 0) - e
-                    if len(poly) == 1:
-                        m, c = poly[0]
-                        for s, e in m:
-                            md[s] = md.get(s, 0) - e
-                        scalar = scalar * c.inverse()
-                    else:
-                        lead = poly[0][1]
-                        if not (lead == 1):
-                            poly = _poly_scale(poly, lead.inverse())
-                            scalar = scalar * lead.inverse()
-                        new_den.append(poly)
-                    changed = True
-                    break
-            if changed:
-                break
+            else:
+                continue
+            del new_num[i], new_den[j]
+            if not absorb(q, sign):
+                return _ZERO_FORM
+            changed = True
+            break
     new_num.sort(key=_render_poly)
     new_den.sort(key=_render_poly)
     return scalar, _mono_from_dict(md), tuple(new_num), tuple(new_den)
@@ -655,9 +630,6 @@ class RatioContext:
         self.registry: dict[str, tuple] = {}
 
     # -- char bookkeeping --------------------------------------------------
-
-    def chi(self, idx: int) -> GroupChar:
-        return self.chars[idx]
 
     def idx_of(self, chi: GroupChar) -> int:
         return self.index[chi.exponents]
@@ -877,15 +849,18 @@ def _f_p_of_dual(ctx: RatioContext, rho: ArtinRep) -> int:
     return conductor_exponent(dual.chi, "pbar")
 
 
+def _period_units(ctx: RatioContext) -> tuple[SymExpr, SymExpr]:
+    """The weight-k period-change units a = (2pi)^(k-2) Om+ / Ominf^(k-1) and
+    b = (2pi)^(k-2) Om- / Ominf^(k-1)."""
+    k = ctx.k
+    return tuple(SymExpr(ctx.rel, 1, {TWO_PI: k - 2, om: 1, OM_INF: -(k - 1)})
+                 for om in (OM_PLUS, OM_MINUS))
+
+
 def expected_period_ratio(ctx: RatioContext, rho: ArtinRep) -> SymExpr:
     """The value the measure/target ratio must reduce to: the evaluation of
     the period-correction unit at the contragredient representation."""
-    rel = ctx.rel
-    k = ctx.k
-    a = SymExpr.sym(TWO_PI, k - 2, rel) * SymExpr.sym(OM_PLUS, 1, rel) * \
-        SymExpr.sym(OM_INF, -(k - 1), rel)
-    b = SymExpr.sym(TWO_PI, k - 2, rel) * SymExpr.sym(OM_MINUS, 1, rel) * \
-        SymExpr.sym(OM_INF, -(k - 1), rel)
+    a, b = _period_units(ctx)
     if rho.kind == "induced":
         return a * b
     return a if rho.sign == 1 else b
@@ -1024,6 +999,23 @@ def reduce_ratio(ctx: RatioContext, numerator: SymExpr, denominator: SymExpr,
     return expr, trace
 
 
+def reduce_rep_ratio(ctx: RatioContext, rho: ArtinRep, variant: str = "elliptic",
+                     j: int = 0, want_trace: bool = False):
+    """reduce_ratio of the character-side formulas, multiplied over the
+    restriction of rho, by the target at rho.  The elliptic target pairs with
+    the elliptic-pbar formula over the restriction of the contragredient;
+    the weight-k targets pair with their own variant over rho's restriction."""
+    if variant == "elliptic":
+        source, char_variant = rho.contragredient(), "elliptic-pbar"
+    else:
+        source, char_variant = rho, variant
+    num = SymExpr(ctx.rel, 1)
+    for chix in source.restriction():
+        num = num * build_char_interpolation_rhs(ctx, ctx.idx_of(chix), char_variant, j)
+    den = build_rep_interpolation_rhs(ctx, rho, variant, j)
+    return reduce_ratio(ctx, num, den, j, want_trace)
+
+
 # ---------------------------------------------------------------------------
 # period-correction unit
 # ---------------------------------------------------------------------------
@@ -1032,11 +1024,7 @@ def build_period_correction(ctx: RatioContext) -> Measure:
     """a (1+c)/2 + b (1-c)/2 with a, b the weight-k period-change units."""
     rel = ctx.rel
     ring = SymCoeffs(rel)
-    k = ctx.k
-    a = SymExpr.sym(TWO_PI, k - 2, rel) * SymExpr.sym(OM_PLUS, 1, rel) * \
-        SymExpr.sym(OM_INF, -(k - 1), rel)
-    b = SymExpr.sym(TWO_PI, k - 2, rel) * SymExpr.sym(OM_MINUS, 1, rel) * \
-        SymExpr.sym(OM_INF, -(k - 1), rel)
+    a, b = _period_units(ctx)
     half = SymExpr(rel, Fraction(1, 2))
     e = (ctx.sg.base.identity(), 0)
     c = (ctx.sg.base.identity(), 1)
@@ -1045,16 +1033,12 @@ def build_period_correction(ctx: RatioContext) -> Measure:
 
 def period_correction_inverse(ctx: RatioContext) -> Measure:
     """The explicit inverse a^-1 (1+c)/2 + b^-1 (1-c)/2."""
-    lom = build_period_correction(ctx)
+    a, b = _period_units(ctx)
+    half = SymExpr(ctx.rel, Fraction(1, 2))
     e = (ctx.sg.base.identity(), 0)
     c = (ctx.sg.base.identity(), 1)
-    a_plus_b = lom.coeffs[e]
-    a_minus_b = lom.coeffs.get(c, SymExpr(ctx.rel, 0))
-    half = SymExpr(ctx.rel, Fraction(1, 2))
-    a = a_plus_b + a_minus_b
-    b = a_plus_b - a_minus_b
-    return Measure(ctx.sg, lom.ring, {e: (a.inverse() + b.inverse()) * half,
-                                      c: (a.inverse() - b.inverse()) * half})
+    return Measure(ctx.sg, SymCoeffs(ctx.rel), {e: (a.inverse() + b.inverse()) * half,
+                                                c: (a.inverse() - b.inverse()) * half})
 
 
 # ---------------------------------------------------------------------------

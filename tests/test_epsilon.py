@@ -167,3 +167,9 @@ def test_character_sums_match_naive_zeta_sums(p, n_max, stride):
         twisted = LocalChar(chi.p, chi.n, chi.exponent, unram_value=u)
         assert epsilon_factor(twisted, PSI_MINUS_X, shift=2) == \
             u ** chi.n * _naive_character_sum(chi, -2)
+
+
+def test_unramified_character_carries_no_exponent():
+    assert LocalChar(5, 0, 0) == LocalChar(5, 0)
+    with pytest.raises(EpsilonError, match="cannot carry an exponent"):
+        LocalChar(5, 0, 3)

@@ -1,5 +1,6 @@
-"""Every name a module lists in __all__ exists, and no module imports a name
-it does not use."""
+"""Every name a module lists in __all__ exists, no module imports a name it
+does not use, and every top-level function or class of the package is
+referenced somewhere in the package, its tests or the benchmark."""
 
 import ast
 import importlib
@@ -52,3 +53,57 @@ def test_scan_flags_an_unused_import():
 def test_no_unused_module_imports(name):
     path = Path(iwasawalab.__file__).parent / f"{name}.py"
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+REPO = Path(__file__).resolve().parent.parent
+OTHER_DIRS = ("tests", "labbench")
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names read (as a name or an attribute) anywhere in the module, except
+    a top-level definition's references to itself inside its own body."""
+    used: set[str] = set()
+    for top in tree.body:
+        own = top.name if isinstance(top, DEFS) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name != own:
+                used.add(name)
+    return used
+
+
+def _unreferenced_definitions(package: dict[str, str], others: list[str]) -> list[str]:
+    """module.name for each top-level function or class of the package
+    sources that no source (package or other) references; __all__ entries
+    are strings and do not count."""
+    trees = {mod: ast.parse(src) for mod, src in package.items()}
+    used: set[str] = set()
+    for tree in list(trees.values()) + [ast.parse(src) for src in others]:
+        used |= _references(tree)
+    return sorted(f"{mod}.{node.name}" for mod, tree in trees.items()
+                  for node in tree.body if isinstance(node, DEFS) and node.name not in used)
+
+
+def test_scan_flags_an_unreferenced_definition():
+    package = {"m": ("__all__ = ['exported', 'used']\n"
+                     "def used():\n    return 1\n"
+                     "def exported():\n    return 2\n"
+                     "def recursive(n):\n    return recursive(n - 1) if n else used()\n"
+                     "class Unused:\n    def method(self):\n        return Unused()\n")}
+    assert _unreferenced_definitions(package, []) == ["m.Unused", "m.exported", "m.recursive"]
+    other = "import m\nm.exported()\nfrom m import recursive\nrecursive(3)\nm.Unused\n"
+    assert _unreferenced_definitions(package, [other]) == []
+
+
+def test_every_definition_is_referenced():
+    package = {p.stem: p.read_text(encoding="utf-8")
+               for p in Path(iwasawalab.__file__).parent.glob("*.py")}
+    others = [p.read_text(encoding="utf-8")
+              for d in OTHER_DIRS for p in sorted((REPO / d).rglob("*.py"))]
+    assert _unreferenced_definitions(package, others) == []

@@ -1,5 +1,6 @@
 """Symbolic engine and interpolation-ratio tests."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -33,6 +34,7 @@ from iwasawalab.symratio import (
     gamma_ratio,
     period_correction_inverse,
     reduce_ratio,
+    reduce_rep_ratio,
     twist_unit_evaluation,
     twist_unit_expected,
 )
@@ -388,3 +390,112 @@ def test_exact_division_guard_raises_instead_of_not_divisible():
     small = (((("x", 50),), one), ((), -one))
     assert len(symratio._poly_divide_exact(small, ((x, one), ((), -one)))) == 50
     assert symratio._poly_divide_exact(small, ((x, one), ((), one + one))) is None
+
+
+# ---------------------------------------------------------------------------
+# canonical forms
+# ---------------------------------------------------------------------------
+
+def test_level1_reduction_renders_are_pinned():
+    # sha256 over result.render() and every trace step's before/after for all
+    # 20 irreducibles of the shipped tower's first level, on the elliptic
+    # chain at k = 2 and both weight-k chains at every admissible j for
+    # k in {3, 4}; recorded before the canonical-form fold was rewritten, so
+    # any change to the canonical form of an intermediate expression shows
+    level = load_tower(RunConfig()).levels[0]
+    runs = [(2, "elliptic", 0)] + [(k, variant, j) for k in (3, 4)
+                                   for j in range(0, 1 - k, -1)
+                                   for variant in ("weightk-1", "weightk-2")]
+    digest = hashlib.sha256()
+    for k, variant, j in runs:
+        ctx = RatioContext(level.semidirect, k=k, trivial_nebentypus=(k == 2))
+        assert len(ctx.reps) == 20
+        for rho in ctx.reps:
+            source = rho.contragredient() if variant == "elliptic" else rho
+            char_variant = "elliptic-pbar" if variant == "elliptic" else variant
+            num = SymExpr(ctx.rel, 1)
+            for chix in source.restriction():
+                num = num * build_char_interpolation_rhs(ctx, ctx.idx_of(chix),
+                                                         char_variant, j)
+            den = build_rep_interpolation_rhs(ctx, rho, variant, j)
+            result, trace = reduce_ratio(ctx, num, den, want_trace=True)
+            digest.update(result.render().encode() + b"\n")
+            for step in trace:
+                digest.update(step["before"].encode() + b"\n" + step["after"].encode() + b"\n")
+    assert digest.hexdigest() == \
+        "e89bbdeaf9ea2180dccb6251341793fa1e1405c9164d176e9a51684cf2fa68a0"
+
+
+def test_reduce_rep_ratio_is_the_explicit_chain():
+    ctx = level1_ctx(4)
+    for rho in ctx.reps[::3]:
+        num = SymExpr(ctx.rel, 1)
+        for chix in rho.restriction():
+            num = num * build_char_interpolation_rhs(ctx, ctx.idx_of(chix), "weightk-2", -1)
+        den = build_rep_interpolation_rhs(ctx, rho, "weightk-2", -1)
+        want, want_trace = reduce_ratio(ctx, num, den, want_trace=True)
+        got, got_trace = reduce_rep_ratio(ctx, rho, "weightk-2", -1, want_trace=True)
+        assert _structure(got) == _structure(want) and got_trace == want_trace
+
+
+def _structure(x: SymExpr):
+    return (x.scalar, x.mono, x.num, x.den, x.render())
+
+
+def _factor_pool(ctx, rng):
+    """Cyclotomic scalars, period and relation symbols, atoms, and Euler
+    factors at characters unramified at their place, each with its inverse."""
+    rel = ctx.rel
+    pool = [SymExpr(rel, zeta(5, 2) * F(3, 2)), SymExpr(rel, F(-7, 3)),
+            SymExpr.sym("i", 1, rel), SymExpr.sym("Om+", 1, rel), SymExpr.sym("w", 1, rel)]
+    for idx in rng.sample(range(len(ctx.chars)), 4):
+        pool += [ctx.L_atom("psibar", idx, "1", imprimitive=False), ctx.eps_atom("p", idx)]
+    for place, label in (("p", "p"), ("pb", "pbar")):
+        unramified = [i for i in range(len(ctx.chars)) if ctx.f_place(i, label) == 0]
+        for idx in rng.sample(unramified, 3):
+            for arg, side in (({"u": -1}, ""), ({"w": 1, "p": -1}, ""),
+                              ({"p": -1}, "psibar"), ({"p": -2}, "psi")):
+                pool.append(ctx.euler_factor(place, idx, arg, psi_side=side))
+    return pool + [x.inverse() for x in pool]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shuffled_products_have_one_canonical_form(seed):
+    rng = random.Random(seed)
+    ctx = level1_ctx(4 if seed % 2 else 2)
+    pool = _factor_pool(ctx, rng)
+    factors = [rng.choice(pool) for _ in range(10)]
+    forms = []
+    for _ in range(3):
+        rng.shuffle(factors)
+        prod = SymExpr(ctx.rel, 1)
+        for x in factors:
+            prod = prod * x
+        forms.append(_structure(prod))
+    assert forms[0] == forms[1] == forms[2]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_power_is_the_repeated_product(seed):
+    rng = random.Random(100 + seed)
+    ctx = level1_ctx(4 if seed % 2 else 2)
+    pool = _factor_pool(ctx, rng)
+    top, bottom = rng.sample([f for f in pool if f.num and not f.den], 2)
+    x = pool[0] * pool[2] * pool[5] * top / bottom
+    assert x.num and x.den
+    for n in range(-3, 4):
+        base = x if n >= 0 else x.inverse()
+        prod = SymExpr(ctx.rel, 1)
+        for _ in range(abs(n)):
+            prod = prod * base
+        assert _structure(x ** n) == _structure(prod), n
+
+
+def test_equality_coerces_scalars():
+    r = Relation()
+    assert not (SymExpr(r, 0) == zeta(5))
+    assert SymExpr(r, 0) == 0 and SymExpr(r, 0) == CycloNumber.from_rational(0)
+    assert SymExpr(r, zeta(5)) == zeta(5)
+    assert SymExpr(r, F(3, 2)) == F(3, 2) and SymExpr(r, 2) != 3
+    assert not (SymExpr.sym("u", 1, r) == 1)
+    assert SymExpr(r, 1) != None and SymExpr(r, 1) != "1"  # noqa: E711
