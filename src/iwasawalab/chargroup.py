@@ -49,6 +49,10 @@ class FinAbGroup:
     labels: named subgroups (generator lists), inertia chains per place,
     a distinguished quotient map, and declared Galois exponent actions.
     Labeled subgroups are closure-checked on construction.
+
+    `conductor_exponent` reads a table keyed by (place, character
+    exponents) and filled on first use, so it holds at most one entry per
+    declared chain and character; `add_inertia_chain` empties it.
     """
 
     def __init__(self, orders, name: str = ""):
@@ -59,6 +63,7 @@ class FinAbGroup:
         self.name = name
         self.subgroups: dict[str, frozenset[Element]] = {}
         self.inertia: dict[str, list[frozenset[Element]]] = {}
+        self._conductors: dict[tuple[str, Element], int] = {}
         self.gamma_quotient: GroupHom | None = None
         self.galois_actions: dict[str, GaloisAction] = {}
 
@@ -143,6 +148,7 @@ class FinAbGroup:
             if not lower <= upper:
                 raise GroupError(f"inertia chain at {place} is not descending")
         self.inertia[place] = chain
+        self._conductors.clear()
 
     def set_gamma_quotient(self, hom: "GroupHom") -> None:
         if hom.source is not self:
@@ -162,6 +168,9 @@ class GroupChar:
     exponents: Element
 
     def __post_init__(self):
+        if len(self.exponents) != self.group.rank:
+            raise GroupError(f"character needs {self.group.rank} exponents, "
+                             f"got {len(self.exponents)}")
         object.__setattr__(self, "exponents",
                            tuple(e % n for e, n in zip(self.exponents, self.group.orders)))
 
@@ -211,19 +220,26 @@ def char_table(group: FinAbGroup) -> list[GroupChar]:
 def conductor_exponent(chi: GroupChar, place: str) -> int:
     """Smallest n with chi trivial on U_n; 0 iff unramified at the place."""
     group = chi.group
-    if place not in group.inertia:
-        raise GroupError(f"group carries no inertia chain at {place!r}")
-    chain = group.inertia[place]
-    for n, sub in enumerate(chain):
-        if chi.is_trivial_on(sub):
-            return n
-    return len(chain)
+    key = (place, chi.exponents)
+    n = group._conductors.get(key)
+    if n is None:
+        if place not in group.inertia:
+            raise GroupError(f"group carries no inertia chain at {place!r}")
+        chain = group.inertia[place]
+        n = next((n for n, sub in enumerate(chain) if chi.is_trivial_on(sub)), len(chain))
+        group._conductors[key] = n
+    return n
 
 
 def conjugate_char(chi: GroupChar, c_action: "GroupAutomorphism") -> GroupChar:
     """chi^c(g) = chi(c(g)) for an involutive automorphism c."""
     if not c_action.is_involution():
         raise GroupError("c-action must be an involution")
+    return _conjugate(chi, c_action)
+
+
+def _conjugate(chi: GroupChar, c_action: "GroupAutomorphism") -> GroupChar:
+    """chi o c for an automorphism c already known to be an involution."""
     group = chi.group
     # chi^c exponents: evaluate chi on the images of the generators
     new_exp = []
@@ -368,6 +384,10 @@ class SemidirectGroup:
 
     Non-split or higher-order extensions are rejected: the c-action must be
     an involution of G.
+
+    `conjugate_char` reads a table keyed by character exponents and filled
+    on first use, so it holds at most |G| entries; the involution was checked
+    here, so the table's entries skip that check.
     """
 
     def __init__(self, base: FinAbGroup, c_action: GroupAutomorphism, name: str = ""):
@@ -378,6 +398,7 @@ class SemidirectGroup:
         self.base = base
         self.c_action = c_action
         self.name = name
+        self._conjugates: dict[Element, GroupChar] = {}
 
     def order(self) -> int:
         return 2 * self.base.order()
@@ -404,7 +425,12 @@ class SemidirectGroup:
         return [(g, a) for a in (0, 1) for g in self.base.elements()]
 
     def conjugate_char(self, chi: GroupChar) -> GroupChar:
-        return conjugate_char(chi, self.c_action)
+        if chi.group != self.base:
+            raise GroupError("character lives on the wrong group")
+        conj = self._conjugates.get(chi.exponents)
+        if conj is None:
+            conj = self._conjugates[chi.exponents] = _conjugate(chi, self.c_action)
+        return conj if conj.group is chi.group else GroupChar(chi.group, conj.exponents)
 
     def __repr__(self):
         return f"SemidirectGroup({self.base!r} x| c)"

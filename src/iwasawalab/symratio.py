@@ -12,10 +12,15 @@ Canonical form: a fraction with numerator and denominator kept as multisets
 of primitive polynomial factors in a fixed graded-lexicographic monomial
 order, leading coefficients normalized into the scalar, the relation
 u * w = p^(k-1) * eps_f applied by eliminating w, and i reduced modulo
-i^2 = -1.  Every construction folds its factors into this form through one
-step (`_normalize`'s `absorb`), whether the factor comes from the input or
-from an exact division of a numerator factor by a denominator factor or the
-reverse; a power is a single construction over repeated factor lists.
+i^2 = -1.  Every `SymExpr` is in this form, and the arithmetic relies on it.
+Raw input (the constructor, `poly`, sums) folds each factor through one
+step, `_Fold.absorb`; so does the quotient of any exact division of a
+numerator factor by a denominator factor or the reverse.  A product,
+inverse or power of canonical operands (`_product`) merges the scalars and
+monomials and concatenates the factor lists without refolding them: it
+cancels identical factors and tries exact division only on cross pairs,
+since no pair inside one canonical operand divides.  A factor-free product
+is a monomial merge.
 L-values and prime-to-p epsilon factors are opaque unit atoms with
 an explicit rewrite-rule list (inductivity, imprimitivity, epsilon
 splitting, the functional equation); nothing analytic is ever estimated.
@@ -197,16 +202,13 @@ class SymExpr:
 
     def __init__(self, rel: Relation, scalar, mono=None, num=(), den=()):
         if not isinstance(scalar, CycloNumber):
-            scalar = CycloNumber.from_rational(Fraction(scalar))
+            scalar = CycloNumber.from_rational(scalar)
         mono = mono or ()
         if isinstance(mono, dict):
             mono = _mono_from_dict(mono)
-        scalar, mono, num, den = _normalize(rel, scalar, mono, list(num), list(den))
         self.rel = rel
-        self.scalar = scalar
-        self.mono = mono
-        self.num = num
-        self.den = den
+        self.scalar, self.mono, self.num, self.den = _normalize(rel, scalar, mono,
+                                                                list(num), list(den))
 
     # -- constructors -----------------------------------------------------
 
@@ -247,20 +249,19 @@ class SymExpr:
         if not isinstance(other, SymExpr):
             other = SymExpr(self.rel, other)
         self._chk(other)
-        if self.is_zero() or other.is_zero():
-            return SymExpr(self.rel, 0)
-        return SymExpr(self.rel, self.scalar * other.scalar,
-                       _mono_mul(self.mono, other.mono),
-                       list(self.num) + list(other.num),
-                       list(self.den) + list(other.den))
+        md = dict(self.mono)
+        for s, e in other.mono:
+            md[s] = md.get(s, 0) + e
+        return _product(self.rel, self.scalar * other.scalar, md,
+                        ((0, self.num, self.den), (1, other.num, other.den)))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "SymExpr":
         if self.is_zero():
             raise SymError("division by zero expression")
-        return SymExpr(self.rel, self.scalar.inverse(), _mono_pow(self.mono, -1),
-                       list(self.den), list(self.num))
+        return _product(self.rel, self.scalar.inverse(), {s: -e for s, e in self.mono},
+                        ((0, self.den, self.num),))
 
     def __truediv__(self, other):
         if not isinstance(other, SymExpr):
@@ -271,17 +272,17 @@ class SymExpr:
         return SymExpr(self.rel, other) / self
 
     def __pow__(self, n: int):
-        """The |n|-fold product of self (of its inverse when n < 0), built and
-        folded in one construction."""
+        """The |n|-fold product of self (of its inverse when n < 0), built in
+        one step: the n copies share one origin, so no pair is tried."""
         if n == 0:
             return SymExpr(self.rel, 1)
         base = self if n > 0 else self.inverse()
         n = abs(n)
-        return SymExpr(self.rel, base.scalar ** n, _mono_pow(base.mono, n),
-                       list(base.num) * n, list(base.den) * n)
+        return _product(self.rel, base.scalar ** n, {s: e * n for s, e in base.mono},
+                        ((0, base.num, base.den),) * n)
 
     def __neg__(self):
-        return SymExpr(self.rel, -self.scalar, self.mono, list(self.num), list(self.den))
+        return _canonical(self.rel, -self.scalar, self.mono, self.num, self.den)
 
     def _as_poly_pair(self) -> tuple[Poly, list[Poly]]:
         """(expanded numerator polynomial, denominator factor list)."""
@@ -401,6 +402,14 @@ class SymExpr:
         return nv, dv
 
 
+def _canonical(rel: Relation, scalar: CycloNumber, mono: Mono,
+               num: tuple, den: tuple) -> SymExpr:
+    """The SymExpr of parts that are already in canonical form."""
+    x = object.__new__(SymExpr)
+    x.rel, x.scalar, x.mono, x.num, x.den = rel, scalar, mono, num, den
+    return x
+
+
 def _render_cyclo(c: CycloNumber) -> str:
     if c.is_rational():
         return str(c.rational_value())
@@ -419,9 +428,8 @@ def _render_poly(p: Poly) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _reduce_term(rel: Relation, mono_d: dict, coeff: CycloNumber):
-    """Apply w-elimination and i-reduction to one term; mutates mono_d copy."""
-    d = dict(mono_d)
+def _reduce_term(rel: Relation, d: dict, coeff: CycloNumber) -> tuple[Mono, CycloNumber]:
+    """(mono, coeff) of one term with w eliminated and i reduced; consumes d."""
     if W in d:
         e = d.pop(W)
         # w = p^(k-1) eps_f / u
@@ -436,7 +444,7 @@ def _reduce_term(rel: Relation, mono_d: dict, coeff: CycloNumber):
             e -= 2
         if e:
             d[I_UNIT] = e
-    return {s: v for s, v in d.items() if v}, coeff
+    return _mono_from_dict(d), coeff
 
 
 def _canon(rel: Relation, poly: Poly) -> tuple[Mono, Poly] | None:
@@ -445,8 +453,7 @@ def _canon(rel: Relation, poly: Poly) -> tuple[Mono, Poly] | None:
     shift * poly with shift a monomial of exponents <= 0; None for zero."""
     fixed: dict = {}
     for m, c in poly:
-        mdict, c2 = _reduce_term(rel, dict(m), c)
-        key = _mono_from_dict(mdict)
+        key, c2 = _reduce_term(rel, dict(m), c)
         fixed[key] = fixed[key] + c2 if key in fixed else c2
     fixed = {m: c for m, c in fixed.items() if not c.is_zero()}
     if not fixed:
@@ -466,27 +473,33 @@ def _canon(rel: Relation, poly: Poly) -> tuple[Mono, Poly] | None:
 _ZERO_FORM = (CycloNumber.from_rational(0), (), (), ())
 
 
-def _normalize(rel: Relation, scalar: CycloNumber, mono: Mono,
-               num: list, den: list):
-    """The canonical form (scalar, mono, num, den) of
-    scalar * mono * prod(num) / prod(den).
+class _Fold:
+    """A canonical form under construction: the scalar, the monomial
+    exponents, and per side the monic factors, each tagged by its origin.
+    Two factors with the same origin that is not None came from one
+    canonical operand (or from copies of it, in a power) and so never divide
+    one another; None marks a factor from raw input or from a division,
+    which is tried against every factor."""
 
-    Every factor, from the input or from an exact division, passes through
-    the one fold `absorb`: canonicalise it, move its monomial content and
-    leading coefficient into the monomial part and scalar, and keep what
-    is left as a factor of its side.  Identical factors then cancel, and
-    each numerator/denominator pair that divides exactly either way is
-    replaced by its folded quotient until no pair divides."""
-    if scalar.is_zero():
-        return _ZERO_FORM
-    md, scalar = _reduce_term(rel, dict(mono), scalar)
-    sides: dict[int, list[Poly]] = {1: [], -1: []}
+    __slots__ = ("rel", "scalar", "md", "sides", "origins")
 
-    def absorb(poly: Poly, sign: int) -> bool:
-        """Fold one factor into the numerator (sign 1) or the denominator
+    def __init__(self, rel: Relation, scalar: CycloNumber, md: dict):
+        self.rel = rel
+        self.scalar = scalar
+        self.md = md
+        self.sides: dict[int, list[Poly]] = {1: [], -1: []}
+        self.origins: dict[int, list] = {1: [], -1: []}
+
+    def add(self, poly: Poly, sign: int, origin) -> None:
+        """Append a factor that is already canonical (monic, relation applied,
+        no negative exponents, more than one term) to a side."""
+        self.sides[sign].append(poly)
+        self.origins[sign].append(origin)
+
+    def absorb(self, poly: Poly, sign: int) -> bool:
+        """Fold one raw factor into the numerator (sign 1) or the denominator
         (sign -1); False if it is the zero polynomial in a numerator."""
-        nonlocal scalar
-        res = _canon(rel, poly)
+        res = _canon(self.rel, poly)
         if res is None:
             if sign == -1:
                 raise SymError("zero polynomial in a denominator")
@@ -497,46 +510,95 @@ def _normalize(rel: Relation, scalar: CycloNumber, mono: Mono,
         if len(poly) == 1:
             shift = _mono_mul(shift, m)
         else:
-            sides[sign].append(poly if c == 1 else _poly_scale(poly, c.inverse()))
+            self.add(poly if c == 1 else _poly_scale(poly, c.inverse()), sign, None)
+        md = self.md
         for s, e in shift:
             md[s] = md.get(s, 0) + sign * e
         if len(poly) == 1 or not (c == 1):
-            scalar = scalar * c if sign == 1 else scalar * c.inverse()
+            self.scalar = self.scalar * c if sign == 1 else self.scalar * c.inverse()
         return True
 
+    def settle(self):
+        """Cancel identical factors, then replace each numerator/denominator
+        pair that divides exactly either way by its folded quotient until no
+        pair divides; pairs of one origin are skipped, every other pair is
+        visited in the order of a fold over all pairs."""
+        num, den = self.sides[1], self.sides[-1]
+        num_origin, den_origin = self.origins[1], self.origins[-1]
+        i = 0
+        while i < len(num):
+            p = num[i]
+            if p in den:
+                j = den.index(p)
+                del den[j], den_origin[j], num[i], num_origin[i]
+                continue
+            i += 1
+        changed = True
+        while changed and num and den:
+            changed = False
+            for (i, n), (j, d) in product(enumerate(num), enumerate(den)):
+                if num_origin[i] is not None and num_origin[i] == den_origin[j]:
+                    continue
+                for a, b, sign in ((n, d, 1), (d, n, -1)):
+                    q = _poly_divide_exact(a, b)
+                    if q is not None:
+                        break
+                else:
+                    continue
+                del num[i], num_origin[i], den[j], den_origin[j]
+                if not self.absorb(q, sign):
+                    return _ZERO_FORM
+                changed = True
+                break
+        num.sort(key=_render_poly)
+        den.sort(key=_render_poly)
+        mono, scalar = _reduce_term(self.rel, self.md, self.scalar)
+        return scalar, mono, tuple(num), tuple(den)
+
+
+def _normalize(rel: Relation, scalar: CycloNumber, mono: Mono,
+               num: list, den: list):
+    """The canonical form (scalar, mono, num, den) of
+    scalar * mono * prod(num) / prod(den), for raw input.
+
+    Every input factor passes through `_Fold.absorb`: canonicalise it, move
+    its monomial content and leading coefficient into the monomial part and
+    scalar, and keep what is left as a factor of its side.  `_Fold.settle`
+    then cancels identical factors and divides out every pair that divides.
+    Products of canonical operands skip this fold (`_product`): their
+    factors are canonical already and only cross pairs can divide."""
+    if scalar.is_zero():
+        return _ZERO_FORM
+    if not num and not den:
+        mono, scalar = _reduce_term(rel, dict(mono), scalar)
+        return scalar, mono, (), ()
+    fold = _Fold(rel, scalar, dict(mono))
     for side, sign in ((num, 1), (den, -1)):
         for p in side:
-            if not absorb(p, sign):
+            if not fold.absorb(p, sign):
                 return _ZERO_FORM
-    new_num, new_den = sides[1], sides[-1]
-    # cancel identical factors
-    i = 0
-    while i < len(new_num):
-        p = new_num[i]
-        if p in new_den:
-            new_den.remove(p)
-            new_num.pop(i)
-            continue
-        i += 1
-    # attempted exact division both ways
-    changed = True
-    while changed and new_num and new_den:
-        changed = False
-        for (i, n), (j, d) in product(enumerate(new_num), enumerate(new_den)):
-            for a, b, sign in ((n, d, 1), (d, n, -1)):
-                q = _poly_divide_exact(a, b)
-                if q is not None:
-                    break
-            else:
-                continue
-            del new_num[i], new_den[j]
-            if not absorb(q, sign):
-                return _ZERO_FORM
-            changed = True
-            break
-    new_num.sort(key=_render_poly)
-    new_den.sort(key=_render_poly)
-    return scalar, _mono_from_dict(md), tuple(new_num), tuple(new_den)
+    return fold.settle()
+
+
+def _product(rel: Relation, scalar: CycloNumber, md: dict, operands) -> "SymExpr":
+    """scalar * md * prod(num) / prod(den) over the (origin, num, den) factor
+    lists of canonical operands, where md holds the sum of their canonical
+    monomials.  The fold of all the factors would re-canonicalise each one
+    to itself; so the factors are added as they are, and the settle step
+    tries only pairs of different origin."""
+    if scalar.is_zero():
+        return _canonical(rel, *_ZERO_FORM)
+    fold = None
+    for origin, num, den in operands:
+        for side, sign in ((num, 1), (den, -1)):
+            if side and fold is None:
+                fold = _Fold(rel, scalar, md)
+            for p in side:
+                fold.add(p, sign, origin)
+    if fold is None:
+        mono, scalar = _reduce_term(rel, md, scalar)
+        return _canonical(rel, scalar, mono, (), ())
+    return _canonical(rel, *fold.settle())
 
 
 # ---------------------------------------------------------------------------

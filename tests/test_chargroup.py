@@ -184,3 +184,75 @@ def test_parser_rejects_non_involutive_c_action():
     bad = "p = 5\n[level 1]\norders = 5\nc_action = (2)\n"
     with pytest.raises(GroupError):
         parse_tower_file(bad)
+
+
+def test_char_rejects_exponent_arity_mismatch():
+    g = FinAbGroup((5, 5))
+    for exponents in ((1,), (1, 2, 3), ()):
+        with pytest.raises(GroupError, match="needs 2 exponents"):
+            GroupChar(g, exponents)
+    assert GroupChar(FinAbGroup(()), ()).is_trivial()
+
+
+def _shipped_levels():
+    text = resources.files("iwasawalab.data").joinpath("tower_p5_level1.cfg").read_text()
+    return parse_tower_file(text).levels
+
+
+@pytest.mark.parametrize("level_index", [0, 1])
+def test_semidirect_conjugation_table_is_the_definition(level_index):
+    level = _shipped_levels()[level_index]
+    sg, group, c = level.semidirect, level.group, level.c_action
+    rng = random.Random(level_index)
+    elements = group.elements()
+    sample = elements if len(elements) <= 25 else rng.sample(elements, 25)
+    for chi in char_table(group):
+        conj = sg.conjugate_char(chi)
+        assert conj == conjugate_char(chi, c) and conj.group is group
+        assert sg.conjugate_char(chi) is conj  # the second call reads the table
+        # chi^c(g) = chi(c(g))
+        for g in sample:
+            assert conj.value_exponent(g) == chi.value_exponent(c.apply(g))
+    assert len(sg._conjugates) == group.order()
+    # a character of an equal group keeps its own group object
+    twin = FinAbGroup(group.orders)
+    assert sg.conjugate_char(GroupChar(twin, (1, 0))).group is twin
+    with pytest.raises(GroupError):
+        sg.conjugate_char(GroupChar(FinAbGroup((7, 7)), (1, 0)))
+
+
+@pytest.mark.parametrize("level_index", [0, 1])
+def test_conductor_exponent_table_is_the_elementwise_one(level_index):
+    group = _shipped_levels()[level_index].group
+
+    def elementwise(chi, place):
+        chain = group.inertia[place]
+        return next((n for n, sub in enumerate(chain)
+                     if all(chi.value(g) == 1 for g in sub)), len(chain))
+
+    for _ in range(2):  # the second pass reads the table
+        for chi in char_table(group):
+            for place in ("p", "pbar"):
+                assert conductor_exponent(chi, place) == elementwise(chi, place)
+    assert len(group._conductors) == 2 * group.order()
+
+
+def test_conductor_exponent_follows_a_replaced_chain():
+    g = FinAbGroup((25,))
+    g.add_inertia_chain("p", [[(1,)], [(5,)]])
+    chi = GroupChar(g, (5,))  # trivial on 5Z/25, not on Z/25
+    assert conductor_exponent(chi, "p") == 1
+    g.add_inertia_chain("p", [[(5,)]])
+    assert conductor_exponent(chi, "p") == 0
+    g.add_inertia_chain("p", [[(1,)]])
+    assert conductor_exponent(chi, "p") == 1
+    assert conductor_exponent(GroupChar(g, (1,)), "p") == 1
+
+
+def test_semidirect_group_rejects_non_involution():
+    g = FinAbGroup((5,))
+    with pytest.raises(GroupError, match="involution"):
+        SemidirectGroup(g, GroupAutomorphism(g, ((2,),)))
+    g2 = FinAbGroup((5, 5))
+    with pytest.raises(GroupError, match="involution"):
+        SemidirectGroup(g2, GroupAutomorphism(g2, ((0, 1), (1, 1))))

@@ -28,6 +28,12 @@ CYCLO_SUITES_SHA256 = "3d47642b3f645323eadd8a1b494a611f99d1abae0246dc55c005956e8
 # extended-Euclid residue-field inverse.
 DESCENT_SUITE_SHA256 = "31a15cf8c66b48bc7a5a42f5d761150b70abacb424e88da4f43cbcee69be1dde"
 
+# The reps and weightk suites classify irreducibles (character conjugation,
+# conductor exponents) and reduce weight-k interpolation ratios; their body
+# checksum under the default config, recorded before the symbolic products
+# stopped refolding canonical factors.
+REPS_WEIGHTK_SUITES_SHA256 = "b7161e947d763409ffdac0b918695e9dd5dc895698a2587d281a72a0086f11c7"
+
 
 def test_empty_suite_list_exits_zero():
     config = RunConfig(suites=())
@@ -55,6 +61,12 @@ def test_descent_suite_body_checksum_is_pinned():
     body, sidecar = run_suites(RunConfig(suites=("descent",)))
     assert body["summary"] == {"checks": 9, "failures": 0, "errors": 0}
     assert sidecar["body_sha256"] == DESCENT_SUITE_SHA256
+
+
+def test_reps_and_weightk_suites_body_checksum_is_pinned():
+    body, sidecar = run_suites(RunConfig(suites=("reps", "weightk")))
+    assert body["summary"] == {"checks": 24, "failures": 0, "errors": 0}
+    assert sidecar["body_sha256"] == REPS_WEIGHTK_SUITES_SHA256
 
 
 def test_report_body_is_byte_stable():

@@ -68,6 +68,18 @@ def test_i_unit_reduction():
     assert SymExpr.sym("i", 7, r) == -SymExpr.sym("i", 1, r)
 
 
+def test_i_from_one_term_factors_is_reduced():
+    # an i that reaches the monomial part from a one-term factor, raw or the
+    # quotient of an exact division, is reduced with the rest: i * i = -1
+    r = Relation()
+    one = CycloNumber.from_rational(1)
+    raw = SymExpr(r, 1, {"i": 1}, [(((("i", 1),), one),)])
+    assert raw.render() == "-1" and raw.mono == ()
+    iu = SymExpr.poly({(("i", 1), ("u", 2)): 1, (("i", 1), ("u", 1)): 1}, r)
+    quotient = SymExpr.sym("i", 1, r) * iu / SymExpr.poly({(("u", 1),): 1, (): 1}, r)
+    assert quotient.render() == "-1 * u" and quotient.mono == (("u", 1),)
+
+
 def test_normalization_idempotent_and_substitution_commutes():
     r = Relation()
     x = SymExpr.poly({(): 1, (("u", -1),): -1}, r) * SymExpr.sym("Om+", 2, r)
@@ -426,6 +438,22 @@ def test_level1_reduction_renders_are_pinned():
         "e89bbdeaf9ea2180dccb6251341793fa1e1405c9164d176e9a51684cf2fa68a0"
 
 
+def test_level2_elliptic_reduction_renders_are_pinned():
+    # the same digest over all 350 irreducibles of the shipped tower's second
+    # level on the elliptic chain, recorded while every product still
+    # refolded the factors of both operands
+    ctx = RatioContext(load_tower(RunConfig()).levels[1].semidirect)
+    assert len(ctx.reps) == 350
+    digest = hashlib.sha256()
+    for rho in ctx.reps:
+        result, trace = reduce_rep_ratio(ctx, rho, "elliptic", want_trace=True)
+        digest.update(result.render().encode() + b"\n")
+        for step in trace:
+            digest.update(step["before"].encode() + b"\n" + step["after"].encode() + b"\n")
+    assert digest.hexdigest() == \
+        "e96ec090f895d35918389ed86ddb34f4207eb093f4c3f99daf4a951685346e59"
+
+
 def test_reduce_rep_ratio_is_the_explicit_chain():
     ctx = level1_ctx(4)
     for rho in ctx.reps[::3]:
@@ -499,3 +527,87 @@ def test_equality_coerces_scalars():
     assert SymExpr(r, F(3, 2)) == F(3, 2) and SymExpr(r, 2) != 3
     assert not (SymExpr.sym("u", 1, r) == 1)
     assert SymExpr(r, 1) != None and SymExpr(r, 1) != "1"  # noqa: E711
+
+
+def _raw_factor_pool(rel):
+    """Raw (scalar, mono, num, den) pieces: cyclotomic scalars, i- and
+    w-bearing monomials, atoms, Euler-style factors, and the reducible
+    family 1 - u^-2 = (1 - u^-1)(1 + u^-1)."""
+    one = CycloNumber.from_rational(1)
+
+    def poly(*terms):
+        return tuple((tuple(sorted(m.items())), c if isinstance(c, CycloNumber)
+                      else CycloNumber.from_rational(c)) for m, c in terms)
+
+    monos = [{"i": 1}, {"i": 3, "u": 1}, {"w": 2}, {"w": -1, "Om+": 1},
+             {"@L[psibar*c3;s=1]": 1}, {"p": -1, "2pi": 2}, {}]
+    polys = [poly(({}, 1), ({"u": -2}, -1)), poly(({}, 1), ({"u": -1}, -1)),
+             poly(({}, 1), ({"u": -1}, 1)), poly(({}, 1), ({"w": 1, "p": -1}, -1)),
+             poly(({}, 1), ({"u": -1, "@fr[p](c4)": 1}, -1)),
+             poly(({}, 2), ({"i": 1, "u": -1}, zeta(5, 1))),
+             poly(({"u": 2}, 3), ({}, -3))]
+    scalars = [one, CycloNumber.from_rational(F(-7, 3)), zeta(5, 2) * F(3, 2), zeta(4)]
+    return scalars, monos, polys
+
+
+def _random_operand(rel, rng):
+    scalars, monos, polys = _raw_factor_pool(rel)
+    mono: dict = {}
+    for m in rng.sample(monos, rng.randrange(3)):
+        for s, e in m.items():
+            mono[s] = mono.get(s, 0) + e
+    num = [rng.choice(polys) for _ in range(rng.randrange(4))]
+    den = [rng.choice(polys) for _ in range(rng.randrange(4))]
+    return SymExpr(rel, rng.choice(scalars), mono, num, den)
+
+
+def _merged(*monos_with_powers):
+    out: dict = {}
+    for mono, n in monos_with_powers:
+        for s, e in mono:
+            out[s] = out.get(s, 0) + n * e
+    return out
+
+
+def _rendered_structure(x: SymExpr):
+    return _structure(x), x.render()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_products_equal_the_full_fold_of_the_concatenated_factors(seed):
+    # the product path adds canonical factors without refolding them and
+    # tries only cross pairs; the reference is the constructor's fold over
+    # the concatenated factor lists
+    rng = random.Random(700 + seed)
+    rel = Relation(4, False) if seed % 2 else Relation()
+    for _ in range(12):
+        a, b = _random_operand(rel, rng), _random_operand(rel, rng)
+        if a.is_zero() or b.is_zero():
+            continue
+        want = SymExpr(rel, a.scalar * b.scalar, _merged((a.mono, 1), (b.mono, 1)),
+                       a.num + b.num, a.den + b.den)
+        assert _rendered_structure(a * b) == _rendered_structure(want)
+        want = SymExpr(rel, a.scalar * b.scalar.inverse(), _merged((a.mono, 1), (b.mono, -1)),
+                       a.num + b.den, a.den + b.num)
+        assert _rendered_structure(a / b) == _rendered_structure(want)
+        want = SymExpr(rel, a.scalar.inverse(), _merged((a.mono, -1)), a.den, a.num)
+        assert _rendered_structure(a.inverse()) == _rendered_structure(want)
+        for n in range(-3, 4):
+            s, num, den = (a.scalar, a.num, a.den) if n >= 0 else \
+                (a.scalar.inverse(), a.den, a.num)
+            want = SymExpr(rel, s ** abs(n), _merged((a.mono, n)), num * abs(n), den * abs(n))
+            assert _rendered_structure(a ** n) == _rendered_structure(want), n
+
+
+def test_products_divide_cross_pairs_both_ways():
+    rel = Relation()
+    scalars, _, polys = _raw_factor_pool(rel)
+    square, minus, plus = polys[:3]  # 1 - u^-2, 1 - u^-1, 1 + u^-1
+    a = SymExpr(rel, 1, {}, [square], [])
+    b = SymExpr(rel, 1, {}, [], [minus])
+    for prod in (a * b, b * a):
+        assert _rendered_structure(prod) == _rendered_structure(SymExpr(rel, 1, {}, [plus]))
+        assert prod.render() == "u^-1 * (u + 1)"
+    c = SymExpr(rel, 1, {}, [minus, plus], [])
+    for quot in (c / a, (a / c).inverse()):
+        assert quot.is_one()
