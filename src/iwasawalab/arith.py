@@ -33,8 +33,9 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, lcm
-from operator import add, rshift
+from operator import add, itemgetter, lshift, or_, rshift
 
 __all__ = [
     "MAX_CONDUCTOR",
@@ -312,6 +313,37 @@ def _unpack(n: int, count: int, width: int) -> list[int]:
     for t in range(1, words):
         out = [a | b << (_WORD_BITS * t) for a, b in zip(out, ws[t::words])]
     return out
+
+
+def _doubled_sums(length: int, width: int, blocks: int):
+    """sums(n) for packed values, each with up to `blocks` blocks of
+    Z[X]/(X^length - 1) in width-byte slots (slot 0 lowest), every block
+    written twice in a row (doubled):
+    sums(n)(cols, exps)[q] = sum_j cols[j][q] * X^(exps[j][q] length / n),
+    in the same layout.
+
+    A right shift by length - s slots leaves x * X^s in the low half of every
+    block; the shifted terms are added, one mask keeps the low halves and one
+    left shift doubles them again.  Slots are never negative and a rotation
+    only moves them, so no carry crosses a slot while the sums fit the width.
+    """
+    slot = 8 * width
+    bits = slot * length
+    low = ((1 << bits) - 1) * sum(1 << 2 * bits * b for b in range(blocks))
+
+    def sums(n: int):
+        step = length // n
+        shifts = [bits - slot * (t * step) for t in range(n)]
+
+        def rotate_sums(cols, exps):
+            terms = [map(rshift, col, map(shifts.__getitem__, ts))
+                     for col, ts in zip(cols, exps)]
+            ys = list(map(low.__and__, map(sum, zip(*terms))))
+            return list(map(or_, ys, map(lshift, ys, repeat(bits))))
+
+        return rotate_sums
+
+    return sums
 
 
 def _check_conductor(m: int) -> None:
@@ -628,12 +660,14 @@ class PadicRing:
     factors use only zeta^j for j < cols (1 for values in Z_p), so one
     big-integer multiply leaves the raw product on a (2f-1) x s grid that
     _reduce_product rewrites.  The group-ring convolution in grpring puts
-    one axis of 2n-1 such grids in front for each cyclic factor Z/n.  The
-    shift kernel doubles each beta-block into 2p^k slots, so multiplying by
-    zeta^s, a rotation in Z[x]/(x^{p^k} - 1), is one right shift by p^k - s
-    slots.  A slot has as many bytes as the largest sum it receives needs:
-    (summands) * (p^N - 1)^2 for a product, (terms) * (p^N - 1) for a shift
-    sum, so no carry crosses a slot.
+    one axis of 2n-1 such grids in front for each cyclic factor Z/n.  Sums
+    of zeta-power multiples (root sums, the Fourier transform, mul_zeta_power)
+    place each beta-block in p^k slots of Z[x]/(x^{p^k} - 1), written twice
+    in a row (_rotation_pack), so multiplying by zeta^s is a rotation
+    (_doubled_sums), and _rotation_unpack reduces the result once.  A slot
+    has as many bytes as the largest sum it receives needs: (summands) *
+    (p^N - 1)^2 for a product, (terms) * (p^N - 1) for a sum of rotations,
+    so no carry crosses a slot.
     """
 
     _instances: dict[_RingKey, "PadicRing"] = {}
@@ -821,15 +855,15 @@ class PadicRing:
         return tuple(c % pN for block in blocks[:f] for c in block)
 
     def _rotation_pack(self, vectors, width: int) -> list[int]:
-        """Each coordinate vector with its beta-blocks doubled into 2p^k slots
-        (trailing zero blocks dropped): shifting right by p^k - s slots
-        multiplies every block by x^s in Z[x]/(x^{p^k} - 1)."""
+        """Each coordinate vector with its beta-blocks, each padded to the p^k
+        slots of Z[x]/(x^{p^k} - 1) and doubled (trailing zero blocks
+        dropped), as _doubled_sums rotates them."""
         e, pk = self.e, self.eisenstein_pk
         pad = [0] * (pk - e)
         slots: list[int] = []
         ends = []
         for coords in vectors:
-            blocks = self.dim
+            blocks = self.dim if any(coords) else 0
             while blocks and not any(coords[blocks - e:blocks]):
                 blocks -= e
             for i in range(0, blocks, e):
@@ -844,53 +878,55 @@ class PadicRing:
             start = end
         return out
 
-    def _rotation_unpack(self, n: int, width: int) -> tuple[int, ...]:
-        """Coordinates of a sum of shifted _rotation_pack integers.
+    def _fold_cyclic(self, a) -> list[int]:
+        """Coordinates of one block of Z[x]/(x^{p^k} - 1): mod Phi_{p^k},
+        x^(e+r) = -sum_t x^(r + t p^(k-1)), so coordinate j is
+        a[j] - a[e + j mod p^(k-1)], reduced mod p^N."""
+        pN = self.pN
+        if self.eisenstein_pk == 1:
+            return [a[0] % pN]
+        return [(x - y) % pN for x, y in zip(a, a[self.e:] * (self.p - 1))]
 
-        Slots [0, p^k) of each doubled block hold the sum in Z[x]/(x^{p^k} - 1);
-        mod Phi_{p^k}, x^(e+r) = -sum_t x^(r + t p^(k-1)), so coordinate j is
-        a[j] - a[e + j mod p^(k-1)], reduced mod p^N.
-        """
-        e, pk, pN = self.e, self.eisenstein_pk, self.pN
+    def _rotation_unpack(self, n: int, width: int) -> tuple[int, ...]:
+        """Coordinates of a sum of rotated _rotation_pack integers: slots [0, p^k)
+        of each doubled block hold the block in Z[x]/(x^{p^k} - 1), which
+        _fold_cyclic reduces."""
+        pk = self.eisenstein_pk
         span = 2 * pk
         blocks = -(-n.bit_length() // (8 * width * span))
         vals = _unpack(n, span * blocks, width)
-        if pk == 1:
-            out = [v % pN for v in vals[0::2]]
-        else:
-            out = []
-            for base in range(0, len(vals), span):
-                a = vals[base:base + pk]
-                out += [(x - y) % pN for x, y in zip(a, a[e:] * (self.p - 1))]
+        out = []
+        for base in range(0, len(vals), span):
+            out += self._fold_cyclic(vals[base:base + pk])
         return tuple(out) + (0,) * (self.dim - len(out))
 
-    def _shift_sums(self, vectors, m: int, exponent_rows) -> list[tuple[int, ...]]:
-        """Coordinates of sum_i vectors[i] * zeta_m^row[i] for each row, when
-        every such root lies in mu_{p^k}.
-
-        Each vector is packed once; zeta_m^k = zeta^(k p^k / m) is then one
-        right shift of it, and each row is unpacked once.
-        """
-        pk = self.eisenstein_pk
-        width = _slot_width(len(vectors) * (self.pN - 1))
-        packed = self._rotation_pack(vectors, width)
-        shifts = [(pk - k * pk // m % pk) * 8 * width for k in range(m)]
-        return [self._rotation_unpack(sum(map(rshift, packed, [shifts[k % m] for k in row])), width)
-                for row in exponent_rows]
-
     def mul_zeta_power(self, x: "PadicNumber", shift: int) -> "PadicNumber":
-        """x * zeta^shift: one shift of the packed coordinates (no dense product)."""
-        return PadicNumber(self, self._shift_sums([x.coords], self.eisenstein_pk, [[shift]])[0])
+        """x * zeta^shift: one rotation of the packed coordinates (no dense product)."""
+        pk = self.eisenstein_pk
+        width = _slot_width(self.pN - 1)
+        rotate_sums = _doubled_sums(pk, width, self.unram_degree)(pk)
+        n = rotate_sums([self._rotation_pack([x.coords], width)], [[shift % pk]])[0]
+        return PadicNumber(self, self._rotation_unpack(n, width))
 
     def zeta_substitution(self, x: "PadicNumber", a: int) -> "PadicNumber":
-        """The inertia action zeta -> zeta^a, coordinatewise via sparse rows."""
-        if self.eisenstein_pk == 1:
+        """The inertia action zeta -> zeta^a (a prime to p): in each beta-block
+        placed in Z[x]/(x^{p^k} - 1), slot j moves to slot a*j mod p^k, and
+        _fold_cyclic reduces the block."""
+        pk = self.eisenstein_pk
+        if pk == 1:
             return x
-        e, pk = self.e, self.eisenstein_pk
-        buf = [0] * self.dim
+        if a % self.p == 0:
+            raise ArithError(f"zeta -> zeta^{a} is not an automorphism: {a} is divisible by p")
+        e = self.e
+        # slot i of the image holds slot a^-1 i of the block
+        inv = pow(a, -1, pk)
+        gather = itemgetter(*(inv * i % pk for i in range(pk)))
+        pad = [0] * (pk - e)
+        out: list[int] = []
         for base in range(0, self.dim, e):
-            _accumulate_roots(buf, pk, x.coords[base:base + e], a, 0, base)
-        return self.from_coords(buf)
+            block = list(x.coords[base:base + e])
+            out += self._fold_cyclic(gather(block + pad)) if any(block) else block
+        return PadicNumber(self, tuple(out))
 
     def frobenius(self, x: "PadicNumber") -> "PadicNumber":
         """Ring automorphism lifting the p-power map on the residue field.
@@ -1019,7 +1055,14 @@ def _poly_gcd_deg_mod_p(a: list[int], b: list[int], p: int) -> int:
 
 
 class PadicNumber:
-    """Element of a :class:`PadicRing`; immutable coordinate vector mod p^N."""
+    """Element of a :class:`PadicRing`; immutable coordinate vector mod p^N.
+
+    Invariant: every coordinate c is reduced, 0 <= c < p^N, so two elements
+    of one ring are equal exactly when their coords are, and a coordinate is
+    zero exactly when it vanishes mod p^N.  Every constructor and ring
+    operation returns reduced coordinates; is_zero, __eq__ and the descent
+    slices (DModel.in_L_part, in_O_part) read them as they are.
+    """
 
     __slots__ = ("ring", "coords")
 
@@ -1170,11 +1213,11 @@ class PadicNumber:
         """Divide by p^k when every coordinate is divisible; drops precision by k."""
         ring = self.ring
         pk = ring.p ** k
-        if any(c % pk for c in self.coords):
+        if any(map(pk.__rmod__, self.coords)):
             raise ArithError(f"element is not divisible by p^{k}")
         smaller = PadicRing(ring.p, ring.precision - k, ring.unram_degree, ring.eisenstein_pk)
         # coordinates below p^N divide to coordinates below p^(N-k)
-        return PadicNumber(smaller, tuple(c // pk for c in self.coords))
+        return PadicNumber(smaller, tuple(map(pk.__rfloordiv__, self.coords)))
 
     def reduce_precision(self, n: int) -> "PadicNumber":
         ring = self.ring

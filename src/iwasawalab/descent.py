@@ -83,14 +83,11 @@ class DModel:
 
     def in_L_part(self, x: PadicNumber) -> bool:
         """No unramified directions: the value lies in Q_p(zeta_{p^k})."""
-        e = self.ring.e
-        return all(c % self.ring.pN == 0 for c in x.coords[e:])
+        return not any(x.coords[self.ring.e:])
 
     def in_O_part(self, x: PadicNumber) -> bool:
         """Only the Z_p coordinate: no unramified and no ramified directions."""
-        if not self.in_L_part(x):
-            return False
-        return all(c % self.ring.pN == 0 for c in x.coords[1:self.ring.e])
+        return not any(x.coords[1:])
 
     def zeta_action(self, x: PadicNumber, a: int) -> PadicNumber:
         """The inertia action zeta -> zeta^a (trivial on the unramified part)."""

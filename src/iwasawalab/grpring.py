@@ -7,23 +7,29 @@ for the last lives with the symbolic engine).  Towers of measures connected
 by pushforwards model inverse-limit elements.
 
 Coefficient-ring adapter contract: zero, one, from_int, from_fraction,
-from_cyclo, is_zero, inv, mul_by_root(x, m, k) = x * zeta_m^k, and
-root_sums(coeffs, m, exponent_rows), which returns
-sum_i coeffs[i] * zeta_m^row[i] for each row.  root_sums is the one place
-where a ring implements a root-of-unity sum: eval_char passes one row,
-eval_all_chars and fourier_invert pass |G| rows in one call, and
-idempotent_split and assemble_from_components make one call per point of
-the complementary group.  The cyclotomic adapter scales every coefficient
-to one common denominator per call, adds each term's integer coordinates
-into slots indexed by the exponent of zeta (one strided slice per term)
-and reduces each row once through the zeta-power table.  The p-adic
-adapter runs on packed integers when every root of the call lies in
-mu_{p^k} (each coefficient is packed once per call and zeta^s is a shift
-of it, see PadicRing) and otherwise multiplies by cached Teichmueller
-images; the symbolic adapter takes the default, a sum of mul_by_root terms.
-The exponents k of chi(g) = zeta_m^k are tabulated once per character, so a
-call that needs one character (eval_char, build_theta_component, twist)
-builds one row, not the |G| x |G| table.
+from_cyclo, is_zero, inv, mul_by_root(x, m, k) = x * zeta_m^k,
+root_sums(coeffs, m, rows), which returns sum_i coeffs[i] * zeta_m^row[i]
+for each row, and the transform forms of _CoeffAdapter (packs, sums, lift).
+Two kernels sum roots of unity:
+
+* the Fourier transform (_transform), for the operations that need every
+  character: fourier_invert and eval_all_chars over the whole group,
+  idempotent_split and assemble_from_components over the Delta axes.  It
+  runs one axis at a time, each split by Cooley-Tukey over the prime
+  factors of its order, on values lifted to Z[X]/(X^M - 1) and packed into
+  one integer each, where zeta_M^s is a rotation (Nussbaumer's polynomial
+  transform); each output is reduced once.
+* root_sums, for the operations that need one character: eval_char, twist
+  and build_theta_component.  The cyclotomic adapter scales every
+  coefficient to one common denominator, adds each term's integer
+  coordinates into slots indexed by the exponent of zeta and reduces each
+  row once through the zeta-power table; the p-adic adapter sums rotations
+  of the packed coefficients and multiplies once per prime-to-p root.
+
+One character is |G| terms through root_sums; through the transform it
+would cost |G| times the sum of the prime factors and a reduction per
+character, so the split is by operation, not by size.  The exponents k of
+chi(g) = zeta_m^k are tabulated once per character.
 
 convolve of two p-adic measures on an abelian group is one big-integer
 product: each measure is packed as a polynomial in the group axes, beta and
@@ -48,10 +54,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
-from math import lcm
-from operator import add, mul
+from functools import lru_cache, reduce
+from itertools import chain, product
+from math import lcm, prod
+from operator import add, itemgetter, mul
 
 from .arith import (
     ArithError,
@@ -59,9 +65,12 @@ from .arith import (
     PadicNumber,
     PadicRing,
     _accumulate_roots,
+    _doubled_sums,
     _pack,
+    _pack_bytes,
     _slot_width,
     _unpack,
+    _zeta_table,
     embed_cyclo_padic,
     euler_phi,
     factorize,
@@ -122,7 +131,52 @@ class PrecisionExhausted(MeasureError):
 # ---------------------------------------------------------------------------
 
 class _CoeffAdapter:
-    """Default root_sums of the adapter contract: a sum of mul_by_root terms."""
+    """Defaults of the adapter contract for rings with no packed form.
+
+    root_sums(coeffs, m, rows) returns [sum_i coeffs[i] * zeta_m^row[i] for
+    each row]; the default adds mul_by_root terms.  The Fourier transform
+    (_transform) runs one axis of order n at a time, as stages of sums
+    rotate_sums(cols, exps)[q] = sum_j cols[j][q] * zeta_n^exps[j][q]:
+
+    * an axis with packs(n) false runs on ring elements, through sums(n)
+      below: one mul_by_root per term;
+    * the axes with packs(n) true run together on lifted forms.
+      lift(values, m, terms) returns (forms, sums, lower): one form per
+      value; sums(n), as above on forms (n | m), each term a rotation; and
+      lower(forms), their ring elements, one reduction per form.  Every
+      transform output is a sum of at most `terms` rotated lifted values.
+
+    Which ring uses which:
+
+    * CYCLO packs every axis.  A value is lifted to Z[X]/(X^M - 1), M the
+      lcm of m and the values' conductors, in one packed integer in which
+      X^s is a rotation (see arith._doubled_sums).  One bias is added to
+      every slot, so slots stay nonnegative; rotations fix the all-ones
+      vector, so lower subtracts terms * bias per slot, then reduces mod
+      Phi_M and builds the canonical CycloNumber once per output.
+    * PadicCoeffs packs the axes whose order divides p^k: each beta-block in
+      Z[X]/(X^{p^k} - 1), lowered by PadicRing._rotation_unpack.  An axis of
+      prime-to-p order n runs on ring elements, one product by one of the n
+      cached Teichmueller images of mu_n per term.
+    * SymCoeffs takes the defaults here: every axis on ring elements.
+
+    eval_char, twist and build_theta_component want one character, so they
+    call root_sums (or mul_by_root) directly and never run the transform.
+    """
+
+    def packs(self, n):
+        return False
+
+    def sums(self, n):
+        """sums(n)(cols, exps)[q] = sum_j cols[j][q] * zeta_n^exps[j][q] on ring
+        elements: one mul_by_root per term with a nonzero exponent."""
+        def term(x, t):
+            return self.mul_by_root(x, n, t) if t else x
+
+        def rotate_sums(cols, exps):
+            return [reduce(add, map(term, xs, ts)) for xs, ts in zip(zip(*cols), zip(*exps))]
+
+        return rotate_sums
 
     def root_sums(self, coeffs, m, exponent_rows):
         out = []
@@ -161,12 +215,60 @@ class _CycloCoeffs(_CoeffAdapter):
     def mul_by_root(self, x, m, k):
         return x.mul_root(m, k)
 
-    def root_sums(self, coeffs, m, exponent_rows):
+    def packs(self, n):
+        return True
+
+    @staticmethod
+    def _common(coeffs, m):
+        """(big_m, den, ints): the lcm of m and the conductors, the lcm of the
+        denominators, and each value's coordinates scaled to den."""
         big_m = lcm(m, *(c.m for c in coeffs))
-        # every vector scaled to the lcm of the denominators
         den = lcm(*(c.den for c in coeffs))
         ints = [c.num if c.den == den else [x * (den // c.den) for x in c.num]
                 for c in coeffs]
+        return big_m, den, ints
+
+    def lift(self, values, m, terms):
+        big_m, den, ints = self._common(values, m)
+        # slot lift * i of a value of conductor c.m holds coordinate i; every
+        # slot carries the bias, which rotations leave in place, so slots stay
+        # in [0, 2 * terms * bias] through the transform
+        bias = max(map(abs, chain.from_iterable(ints)))
+        width = _slot_width(2 * terms * bias)
+        # each value's block written twice in a row, as _doubled_sums rotates it
+        span = 2 * big_m
+        slots = [bias] * (span * len(values))
+        for start, vec, c in zip(range(0, len(slots), span), ints, values):
+            if any(vec):
+                lift = big_m // c.m
+                stop = lift * len(vec)
+                slots[start:start + stop:lift] = slots[start + big_m:start + big_m + stop:lift] = \
+                    [x + bias for x in vec]
+        raw = memoryview(_pack_bytes(slots, width))
+        step = width * span
+        forms = [int.from_bytes(raw[t:t + step], "little") for t in range(0, len(raw), step)]
+        size = width * big_m
+        mask = (1 << 8 * size) - 1
+        offset = terms * bias
+        table = _zeta_table(big_m)
+        phi = euler_phi(big_m)
+
+        def lower(forms):
+            # every slot of every form in one list; column i holds the
+            # coefficients of X^i, reduced mod Phi_M for all forms at once
+            joined = b"".join((x & mask).to_bytes(size, "little") for x in forms)
+            vals = _unpack(int.from_bytes(joined, "little"), len(forms) * big_m, width)
+            cols = [[v - offset for v in vals[i::big_m]] for i in range(big_m)]
+            out = cols[:phi]
+            for col, row in zip(cols[phi:], table[phi:]):
+                for j, z in row:
+                    out[j] = [a + z * b for a, b in zip(out[j], col)]
+            return [CycloNumber._from_ints(big_m, num, den) for num in zip(*out)]
+
+        return forms, _doubled_sums(big_m, width, 1), lower
+
+    def root_sums(self, coeffs, m, exponent_rows):
+        big_m, den, ints = self._common(coeffs, m)
         lifts = [big_m // c.m for c in coeffs]
         step = big_m // m
         phi = euler_phi(big_m)
@@ -193,13 +295,15 @@ CYCLO = _CycloCoeffs()
 
 
 class PadicCoeffs(_CoeffAdapter):
-    """Adapter for a fixed PadicRing; caches root-of-unity images."""
+    """Adapter for a fixed PadicRing; caches, per order m of the roots of
+    unity it meets, the Teichmueller images of the prime-to-p part of mu_m
+    (see _root_parts)."""
 
     name = "padic"
 
     def __init__(self, ring: PadicRing):
         self.ring = ring
-        self._root_cache: dict[tuple[int, int], PadicNumber] = {}
+        self._roots: dict[int, tuple] = {}
 
     def zero(self):
         return self.ring.zero()
@@ -222,29 +326,68 @@ class PadicCoeffs(_CoeffAdapter):
     def inv(self, x):
         return x.inverse()
 
-    def root(self, m, k):
-        key = (m, k % m)
-        img = self._root_cache.get(key)
-        if img is None:
-            img = self.from_cyclo(zeta(m, k))
-            self._root_cache[key] = img
-        return img
+    def _root_parts(self, m):
+        """(mp, u, images, v): zeta_m^k = zeta_mp^(k u mod mp) * images[k v mod mq]
+        for the p-part mp of m, mq = m / mp and images the Teichmueller images
+        of mu_mq, as embed_cyclo_padic places zeta_m."""
+        parts = self._roots.get(m)
+        if parts is None:
+            p, pk = self.ring.p, self.ring.eisenstein_pk
+            mp = 1
+            while m % (mp * p) == 0:
+                mp *= p
+            if pk % mp:
+                raise ArithError(f"conductor {m} needs eisenstein part {mp}, ring has {pk}")
+            mq = m // mp
+            images = [self.from_cyclo(zeta(mq, a)) for a in range(mq)]
+            parts = self._roots[m] = (mp, pow(mq, -1, mp), images, pow(mp, -1, mq))
+        return parts
 
     def mul_by_root(self, x, m, k):
+        mp, u, images, v = self._root_parts(m)
+        mq = len(images)
+        if k * v % mq:
+            x = x * images[k * v % mq]
+        s = k * u % mp
+        return self.ring.mul_zeta_power(x, self.ring.eisenstein_pk // mp * s) if s else x
+
+    def packs(self, n):
+        return self.ring.eisenstein_pk % n == 0
+
+    def lift(self, values, m, terms):
         ring = self.ring
-        if ring.eisenstein_pk % m == 0:
-            # pure p-power root: a sparse index shift
-            return ring.mul_zeta_power(x, (ring.eisenstein_pk // m) * (k % m))
-        return x * self.root(m, k)
+        width = _slot_width(terms * (ring.pN - 1))
+
+        def lower(forms):
+            return [PadicNumber(ring, ring._rotation_unpack(x, width)) for x in forms]
+
+        return (ring._rotation_pack([v.coords for v in values], width),
+                _doubled_sums(ring.eisenstein_pk, width, ring.unram_degree), lower)
 
     def root_sums(self, coeffs, m, exponent_rows):
-        ring = self.ring
-        pk = ring.eisenstein_pk
-        if pk % m and not all(k * pk % m == 0 for row in exponent_rows for k in row):
+        mp, u, images, v = self._root_parts(m)
+        mq = len(images)
+        if mp == 1:
+            # a prime-to-p order: one product by a cached image per term
             return super().root_sums(coeffs, m, exponent_rows)
-        # every root lies in mu_{p^k}: shifts of the packed coefficients
-        return [PadicNumber(ring, coords) for coords in
-                ring._shift_sums([c.coords for c in coeffs], m, exponent_rows)]
+        # the Teichmueller part of each term picks its group; a group is a
+        # rotated sum of packed coefficients, lowered once and multiplied once
+        forms, sums, lower = self.lift(coeffs, mp, len(coeffs))
+        rotate_sums = sums(mp)
+        keys, parts = [], []
+        for r, row in enumerate(exponent_rows):
+            groups: dict[int, tuple[list, list]] = {}
+            for x, k in zip(forms, row):
+                xs, ts = groups.setdefault(k * v % mq, ([], []))
+                xs.append(x)
+                ts.append(k * u % mp)
+            for a, (xs, ts) in groups.items():
+                keys.append((r, a))
+                parts.append(sum(rotate_sums([xs], [ts])))
+        out = [self.zero()] * len(exponent_rows)
+        for (r, a), y in zip(keys, lower(parts)):
+            out[r] = out[r] + (y * images[a] if a else y)
+        return out
 
     def __repr__(self):
         return f"PadicCoeffs({self.ring!r})"
@@ -365,14 +508,6 @@ def _char_row(orders: tuple[int, ...], exponents: tuple[int, ...]) -> tuple[int,
     m = group.exponent()
     weights = [e * (m // n) for e, n in zip(exponents, orders)]
     return tuple(sum(map(mul, weights, g)) % m for g in group.elements())
-
-
-def _char_exponents(orders: tuple[int, ...]):
-    """(index, table, inverse) for Z/n_1 x ... x Z/n_r: table[a] is the
-    _char_row of the a-th character in char_table order (the table is
-    symmetric); index and inverse as in _group_index."""
-    index, inverse = _group_index(orders)
-    return index, tuple(_char_row(orders, a) for a in index), inverse
 
 
 @lru_cache(maxsize=None)
@@ -508,10 +643,18 @@ def twist(f: Measure, chi: GroupChar) -> Measure:
 # ---------------------------------------------------------------------------
 
 def _split_element(group: FinAbGroup, delta_indices: tuple[int, ...]):
+    """(delta_group, part_group, keys): keys[b] = (d, x), the Delta and the
+    complementary coordinates of the b-th element of the group."""
     rest = tuple(i for i in range(group.rank) if i not in delta_indices)
     delta_group = FinAbGroup(tuple(group.orders[i] for i in delta_indices))
     part_group = FinAbGroup(tuple(group.orders[i] for i in rest))
-    return delta_group, part_group, rest
+    elements = group.elements()
+    columns = list(zip(*elements))
+
+    def project(indices):
+        return list(zip(*(columns[i] for i in indices))) if indices else [()] * len(elements)
+
+    return delta_group, part_group, list(zip(project(delta_indices), project(rest)))
 
 
 def idempotent_split(f: Measure, delta_indices) -> dict[tuple, Measure]:
@@ -525,7 +668,7 @@ def idempotent_split(f: Measure, delta_indices) -> dict[tuple, Measure]:
     if not isinstance(group, FinAbGroup):
         raise MeasureError("idempotent_split needs an abelian group")
     delta_indices = tuple(delta_indices)
-    delta_group, part_group, rest = _split_element(group, delta_indices)
+    delta_group, part_group, keys = _split_element(group, delta_indices)
     ring = f.ring
     # |Delta| must be invertible and its character values available
     try:
@@ -533,20 +676,13 @@ def idempotent_split(f: Measure, delta_indices) -> dict[tuple, Measure]:
         ring.from_cyclo(zeta(delta_group.exponent()))
     except (ArithError, ZeroDivisionError) as exc:
         raise MeasureError(f"coefficient ring cannot split off Delta: {exc}") from exc
-    thetas = char_table(delta_group)
-    index, table, _ = _char_exponents(delta_group.orders)
-    # f's coefficients grouped by their point x of the complementary group
-    by_point: dict[tuple, tuple[list, list]] = {}
-    for g, c in f.coeffs.items():
-        coeffs, ds = by_point.setdefault(tuple(g[i] for i in rest), ([], []))
-        coeffs.append(c)
-        ds.append(index[tuple(g[i] for i in delta_indices)])
-    m = delta_group.exponent()
-    components: dict[tuple, dict] = {theta.exponents: {} for theta in thetas}
-    for x, (coeffs, ds) in by_point.items():
-        sums = ring.root_sums(coeffs, m, [[row[d] for d in ds] for row in table])
-        for theta, value in zip(thetas, sums):
-            components[theta.exponents][x] = value
+    # component_theta(x) sits where the Delta axes carry theta's exponents
+    zero = ring.zero()
+    values = [f.coeffs.get(g, zero) for g in group.elements()]
+    sums = _transform(ring, values, group.orders, 1, delta_indices)
+    components: dict[tuple, dict] = {theta.exponents: {} for theta in char_table(delta_group)}
+    for (d, x), value in zip(keys, sums):
+        components[d][x] = value
     return {key: Measure(part_group, ring, coeffs) for key, coeffs in components.items()}
 
 
@@ -554,35 +690,20 @@ def assemble_from_components(components: dict[tuple, Measure], group: FinAbGroup
                              delta_indices) -> Measure:
     """Inverse of idempotent_split."""
     delta_indices = tuple(delta_indices)
-    delta_group, part_group, rest = _split_element(group, delta_indices)
+    delta_group, _, keys = _split_element(group, delta_indices)
     thetas = char_table(delta_group)
     if set(components) != {t.exponents for t in thetas}:
         raise MeasureError("need exactly one component per Delta-character")
     sample = next(iter(components.values()))
     ring = sample.ring
     inv_order = ring.inv(ring.from_int(delta_group.order()))
-    _, table, inverse = _char_exponents(delta_group.orders)
-    # the components' coefficients at each point x of the complementary group
-    by_point: dict[tuple, tuple[list, list]] = {}
-    for a, theta in enumerate(thetas):
-        for x, c in components[theta.exponents].coeffs.items():
-            coeffs, ts = by_point.setdefault(x, ([], []))
-            coeffs.append(c)
-            ts.append(a)
-    # sums[x][b] = sum over theta of theta(d_b^-1) component_theta(x)
-    m = delta_group.exponent()
-    sums = {x: ring.root_sums(coeffs, m, [[table[j][a] for a in ts] for j in inverse])
-            for x, (coeffs, ts) in by_point.items()}
-    out: dict = {}
-    for b, d in enumerate(delta_group.elements()):
-        for x, values in sums.items():
-            g = [0] * group.rank
-            for idx, val in zip(delta_indices, d):
-                g[idx] = val
-            for idx, val in zip(rest, x):
-                g[idx] = val
-            out[tuple(g)] = values[b] * inv_order
-    return Measure(group, ring, out)
+    # f(d, x) = |Delta|^-1 sum over theta of theta(d^-1) component_theta(x),
+    # with component_theta(x) placed where the Delta axes carry theta's exponents
+    zero = ring.zero()
+    values = [components[d].coeffs.get(x, zero) for d, x in keys]
+    sums = _transform(ring, values, group.orders, -1, delta_indices)
+    return Measure(group, ring, {g: t * inv_order for g, t in zip(group.elements(), sums)
+                                 if not ring.is_zero(t)})
 
 
 # ---------------------------------------------------------------------------
@@ -752,11 +873,90 @@ def build_theta_component(nu: Measure, psi_theta: GroupChar, delta_value,
 
 # ---------------------------------------------------------------------------
 # Fourier machinery
+#
+# The transform below serves the operations that need every character.
+# eval_char, twist and build_theta_component need one, so they keep
+# root_sums: for one character the transform would lift every value and
+# compute every output to read one of them.
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=32)
+def _axis_plan(orders: tuple[int, ...], axis: int, sign: int) -> tuple:
+    """The stages of _axis_pass: per prime factor r of n = orders[axis], one
+    (gather, exponent list) pair per j < r, over the whole array.
+
+    Cooley-Tukey in Stockham order, every line of the axis at once.  Before
+    the stage of r, position k R + c (c < R) of a line holds the transform,
+    at k, of the line's subsequence c, c + R r, c + 2 R r, ... (over the
+    root zeta_n^(R r)); the stage combines r of them into
+
+        A[k R + c] = sum_{j < r} zeta_n^(sign R j k) A'[((k mod m) r + j) R + c]
+
+    with m = n / (R r); the last stage has R = 1.  The plan depends on the
+    shape only, so the 32 most recent ones are kept.
+    """
+    n = orders[axis]
+    inner = prod(orders[axis + 1:])
+    starts = range(0, prod(orders), n * inner)
+    stages = []
+    R = n
+    for r in (q for q, count in factorize(n).items() for _ in range(count)):
+        R //= r
+        m = n // (R * r)
+        terms = []
+        for j in range(r):
+            src = [((q // R % m) * r + j) * R + q % R for q in range(n)]
+            exp = [sign * R * j * (q // R) % n for q in range(n)]
+            terms.append((itemgetter(*[s + p * inner + i for s in starts for p in src
+                                       for i in range(inner)]),
+                          [t for _ in starts for t in exp for _ in range(inner)]))
+        stages.append(terms)
+    return tuple(stages)
+
+
+def _axis_pass(values: list, orders: tuple, axis: int, sign: int, rotate_sums) -> list:
+    """The transform along one axis of values (in elements() order),
+    b_axis -> sum over a_axis of values[.., a_axis, ..] * zeta_n^(sign a b)
+    with n = orders[axis]: one rotate_sums call (see _CoeffAdapter) over r
+    columns per prime factor r of n, as _axis_plan lays out."""
+    if orders[axis] == 1:
+        return values
+    for terms in _axis_plan(orders, axis, sign):
+        values = rotate_sums([gather(values) for gather, _ in terms], [exp for _, exp in terms])
+    return values
+
+
+def _transform(ring, values: list, orders: tuple, sign: int, axes) -> list:
+    """out[b] = sum over a of values[a] * prod over i in axes of
+    zeta_{n_i}^(sign a_i b_i), the sum over the a that agree with b off axes;
+    values and out in FinAbGroup(orders).elements() order.
+
+    One axis at a time (_axis_pass), each by Cooley-Tukey over the prime
+    factors of its order: a transform over every axis is |G| * sum over axes
+    of the prime factors of n_i (with multiplicity) terms.  The axes the
+    ring packs (see _CoeffAdapter) run on the lifted forms, each output
+    lowered once at the end; the others run first, on ring elements.
+    """
+    packed = [i for i in axes if ring.packs(orders[i])]
+    for i in axes:
+        if i not in packed:
+            values = _axis_pass(values, orders, i, sign, ring.sums(orders[i]))
+    if packed:
+        forms, sums, lower = ring.lift(values, lcm(*(orders[i] for i in packed)),
+                                       prod(orders[i] for i in packed))
+        for i in packed:
+            forms = _axis_pass(forms, orders, i, sign, sums(orders[i]))
+        values = lower(forms)
+    return values
+
 
 def fourier_invert(values: dict[GroupChar, object], group: FinAbGroup, ring) -> Measure:
     """Measure with prescribed character evaluations: m(g) = |G|^-1 sum over
     chi of values[chi] chi(g^-1).
+
+    One _transform call: |G| * sum over axes of the prime factors of n_i
+    (with multiplicity) terms, against |G|^2 for the dense sum; Z/4 x Z/25
+    takes 100 * (2 + 2 + 5 + 5) = 1,400 terms instead of 10,000.
 
     Over p-adic coefficients the p-part of |G| is divided out exactly, which
     drops the working precision by v_p(|G|); non-divisible sums (values that
@@ -777,10 +977,9 @@ def fourier_invert(values: dict[GroupChar, object], group: FinAbGroup, ring) -> 
             raise PrecisionExhausted(
                 f"Fourier inversion over a group of order {order} loses "
                 f"v_{p}(|G|) = {k} digits of precision; the ring has precision {precision}")
-    _, exponents, inverse = _char_exponents(group.orders)
-    # row b holds chi(g_b^-1) for every chi, in char_table order
-    rows = [exponents[j] for j in inverse]
-    sums = ring.root_sums([values[chi] for chi in table], group.exponent(), rows)
+    # char_table order is elements() order of the exponents
+    sums = _transform(ring, [values[chi] for chi in table], group.orders, -1,
+                      range(group.rank))
     raw = dict(zip(group.elements(), sums))
     if isinstance(ring, PadicCoeffs):
         inv_m = pow(m, -1, ring.ring.pN)
@@ -802,18 +1001,20 @@ def fourier_invert(values: dict[GroupChar, object], group: FinAbGroup, ring) -> 
                                              ring.ring.eisenstein_pk))
         return Measure(group, out_ring, out)
     inv_order = ring.inv(ring.from_int(order))
-    return Measure(group, ring, {g: t * inv_order for g, t in raw.items()})
+    return Measure(group, ring, {g: t * inv_order for g, t in raw.items()
+                                 if not ring.is_zero(t)})
 
 
 def eval_all_chars(f: Measure) -> dict[GroupChar, object]:
-    """chi -> eval_char(f, chi) for every character, in one root_sums call."""
+    """chi -> eval_char(f, chi) for every character, in one _transform call:
+    |G| * sum over axes of the prime factors of n_i (with multiplicity)
+    terms, as for fourier_invert, against |G|^2 for |G| eval_char calls."""
     group = f.group
     if not isinstance(group, FinAbGroup):
         raise MeasureError("eval_all_chars needs an abelian group")
-    index, table, _ = _char_exponents(group.orders)
-    cols = [index[g] for g in f.coeffs]
-    rows = [[row[j] for j in cols] for row in table]
-    sums = f.ring.root_sums(list(f.coeffs.values()), group.exponent(), rows)
+    zero = f.ring.zero()
+    values = [f.coeffs.get(g, zero) for g in group.elements()]
+    sums = _transform(f.ring, values, group.orders, 1, range(group.rank))
     return dict(zip(char_table(group), sums))
 
 

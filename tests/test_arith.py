@@ -17,6 +17,7 @@ from iwasawalab.arith import (
     CycloNumber,
     PadicRing,
     QuadFieldElem,
+    _accumulate_roots,
     cyclotomic_poly,
     embed_cyclo_padic,
     euler_phi,
@@ -150,10 +151,13 @@ def test_padic_unit_inversion_full_precision():
     assert x * x.inverse() == ring.one()
 
 
-@pytest.mark.parametrize("p, f, pk", [
+PADIC_SHAPES = [
     (p, f, pk) for p in (5, 7, 11, 13) for f in (1, 2, 3, 4)
     for pk in ((1, 5, 25, 125) if p == 5 else (1, p))
-])
+]
+
+
+@pytest.mark.parametrize("p, f, pk", PADIC_SHAPES)
 def test_padic_units_invert_and_non_units_raise(p, f, pk):
     rng = random.Random(p * 1000 + f * 10 + pk)
     for N in (1, 4):
@@ -173,6 +177,63 @@ def test_padic_units_invert_and_non_units_raise(p, f, pk):
                 assert not y.is_unit() and y.valuation() != 0
                 with pytest.raises(ArithError):
                     y.inverse()
+
+
+def _accumulated_substitution(ring, x, a):
+    """zeta -> zeta^a on each beta-block through the sparse zeta-power table."""
+    e, pk = ring.e, ring.eisenstein_pk
+    buf = [0] * ring.dim
+    for base in range(0, ring.dim, e):
+        _accumulate_roots(buf, pk, x.coords[base:base + e], a, 0, base)
+    return ring.from_coords(buf)
+
+
+@pytest.mark.parametrize("p, f, pk", PADIC_SHAPES)
+def test_zeta_substitution_matches_the_sparse_table(p, f, pk):
+    rng = random.Random(p * 1000 + f * 10 + pk + 1)
+    ring = PadicRing(p, 3, f, pk)
+    top = ring.from_coords([ring.pN - 1] * ring.dim)
+    for a in (a for a in range(1, max(pk, 2)) if a % p):
+        x = ring.from_coords([rng.randrange(ring.pN) for _ in range(ring.dim)])
+        for y in (x, top):
+            got = ring.zeta_substitution(y, a)
+            want = y if pk == 1 else _accumulated_substitution(ring, y, a)
+            assert got.coords == want.coords
+    if pk > 1:
+        with pytest.raises(ArithError):
+            ring.zeta_substitution(top, p)
+
+
+def _assert_reduced(x):
+    assert isinstance(x.coords, tuple) and len(x.coords) == x.ring.dim
+    assert all(0 <= c < x.ring.pN for c in x.coords)
+
+
+@pytest.mark.parametrize("p, f, pk", PADIC_SHAPES)
+def test_every_padic_operation_returns_reduced_coordinates(p, f, pk):
+    rng = random.Random(p * 1000 + f * 10 + pk + 2)
+    for N in (1, 4):
+        ring = PadicRing(p, N, f, pk)
+        big = 7 * ring.pN
+
+        def element():
+            return ring.from_coords([rng.randrange(-big, big) for _ in range(ring.dim)])
+
+        x, y = element(), element()
+        unit = x if x.is_unit() else x + 1
+        made = [x, y, ring.zero(), ring.one(), ring.from_int(-big - 3),
+                ring.from_fraction(F(-7, p + 1)), ring.uniformizer(),
+                x + y, x - y, -x, x + 3, 3 - x, x * y, x * -5, x * F(2, 3), x ** 3,
+                unit.inverse(), y / unit, x.reduce_precision(1), ring.frobenius(x)]
+        if N > 1:
+            made.append((x * p).divide_exact_p_power(1))
+        if f > 1:
+            made.append(ring.unram_gen())
+        if pk > 1:
+            made += [ring.zeta_gen(), ring.zeta_substitution(x, p + 1),
+                     ring.mul_zeta_power(x, pk - 1)]
+        for z in made:
+            _assert_reduced(z)
 
 
 def test_eisenstein_uniformizer_valuation():

@@ -219,7 +219,9 @@ def _naive_eval_char(f, chi):
     (PadicCoeffs(PadicRing(5, 8, 1, 25)), (25,), 4),
     # fourth roots of unity are Teichmueller images
     (PadicCoeffs(padic_ring_for_conductor(5, 100, 8)), (4, 25), 1),
-], ids=["cyclo-z5xz5", "padic-shift-z25", "padic-teichmuller-z4xz25"])
+    # one axis whose roots are a Teichmueller image times a power of zeta_5
+    (PadicCoeffs(PadicRing(5, 6, 2, 5)), (30,), 1),
+], ids=["cyclo-z5xz5", "padic-shift-z25", "padic-teichmuller-z4xz25", "padic-mixed-z30"])
 def test_fourier_completeness_roundtrip(ring, orders, trials):
     g = FinAbGroup(orders)
     rng = random.Random(10)
@@ -277,19 +279,23 @@ def test_eval_all_chars_is_eval_char_per_character(ring, orders):
     assert values == {chi: eval_char(f, chi) for chi in char_table(g)}
 
 
-def test_eval_all_chars_makes_one_root_sums_call(monkeypatch):
+def test_eval_all_chars_makes_one_transform_call(monkeypatch):
     ring = PadicCoeffs(PadicRing(5, 6, 1, 25))
     f = random_measure(FinAbGroup((25,)), ring, random.Random(34))
     calls = []
-    root_sums = PadicCoeffs.root_sums
+    transform = grpring._transform
 
-    def counted(self, *args):
+    def counted(*args):
         calls.append(args)
-        return root_sums(self, *args)
+        return transform(*args)
 
-    monkeypatch.setattr(PadicCoeffs, "root_sums", counted)
+    def one_character_kernel(*args):
+        raise AssertionError("eval_all_chars called root_sums")
+
+    monkeypatch.setattr(grpring, "_transform", counted)
+    monkeypatch.setattr(PadicCoeffs, "root_sums", one_character_kernel)
     eval_all_chars(f)
-    assert len(calls) == 1 and len(calls[0][2]) == 25
+    assert len(calls) == 1 and len(calls[0][1]) == 25
 
 
 def _double_loop(f, g):
