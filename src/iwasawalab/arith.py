@@ -32,7 +32,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, itemgetter, lshift, or_, rshift
@@ -50,7 +50,6 @@ __all__ = [
     "zeta",
     "PadicRing",
     "PadicNumber",
-    "teichmuller",
     "padic_sqrt",
     "embed_cyclo_padic",
     "padic_ring_for_conductor",
@@ -661,13 +660,17 @@ class PadicRing:
     big-integer multiply leaves the raw product on a (2f-1) x s grid that
     _reduce_product rewrites.  The group-ring convolution in grpring puts
     one axis of 2n-1 such grids in front for each cyclic factor Z/n.  Sums
-    of zeta-power multiples (root sums, the Fourier transform, mul_zeta_power)
-    place each beta-block in p^k slots of Z[x]/(x^{p^k} - 1), written twice
+    of zeta-power multiples (root_sum, the Fourier transform) place each
+    beta-block in p^k slots of Z[x]/(x^{p^k} - 1), written twice
     in a row (_rotation_pack), so multiplying by zeta^s is a rotation
     (_doubled_sums), and _rotation_unpack reduces the result once.  A slot
     has as many bytes as the largest sum it receives needs: (summands) *
     (p^N - 1)^2 for a product, (terms) * (p^N - 1) for a sum of rotations,
     so no carry crosses a slot.
+
+    The ring owns the fixed embedding Q(zeta_m) -> ring (roots_of_unity),
+    which is the choice of a prime above p: root_sum and embed_cyclo_padic
+    place zeta_m through it.
     """
 
     _instances: dict[_RingKey, "PadicRing"] = {}
@@ -706,6 +709,7 @@ class PadicRing:
         self._mul_width = _slot_width(self.dim * (self.pN - 1) ** 2)
         self._frob_image = None
         self._teich_gen = None
+        self._roots: dict[int, tuple] = {}
 
     # -- descriptor ------------------------------------------------------
 
@@ -799,6 +803,42 @@ class PadicRing:
                     raise ArithError("failed to locate a multiplicative generator")
         self._teich_gen = gen
         return gen
+
+    @staticmethod
+    def split_conductor(p: int, m: int) -> tuple[int, int]:
+        """(mp, mq): m = mp * mq with mp a power of p and mq prime to p."""
+        mp = 1
+        while m % (mp * p) == 0:
+            mp *= p
+        return mp, m // mp
+
+    def roots_of_unity(self, m: int) -> tuple:
+        """(mp, u, images, v): where the ring places zeta_m, cached per m.
+
+        With (mp, mq) = split_conductor(p, m), u = mq^-1 mod mp and
+        v = mp^-1 mod mq, zeta_m^k = zeta_mp^(k u mod mp) * images[k v mod mq]:
+        zeta_mp is the power zeta^(p^k / mp) of the Eisenstein generator and
+        images holds the Teichmueller images of mu_mq, the successive powers
+        of teichmuller_generator()^((p^f - 1) / mq).
+        """
+        parts = self._roots.get(m)
+        if parts is None:
+            mp, mq = self.split_conductor(self.p, m)
+            if self.eisenstein_pk % mp:
+                raise ArithError(
+                    f"conductor {m} needs eisenstein part {mp}, ring has {self.eisenstein_pk}")
+            q = self.p ** self.unram_degree
+            if (q - 1) % mq:
+                raise ArithError(
+                    f"conductor {m} needs mu_{mq} in the residue field; "
+                    f"unramified degree {self.unram_degree} is insufficient")
+            images = [self.one()]
+            if mq > 1:
+                w = self.teichmuller_generator() ** ((q - 1) // mq)
+                for _ in range(mq - 1):
+                    images.append(images[-1] * w)
+            parts = self._roots[m] = (mp, pow(mq, -1, mp), tuple(images), pow(mp, -1, mq))
+        return parts
 
     # -- packed-integer kernels -------------------------------------------
 
@@ -900,13 +940,42 @@ class PadicRing:
             out += self._fold_cyclic(vals[base:base + pk])
         return tuple(out) + (0,) * (self.dim - len(out))
 
-    def mul_zeta_power(self, x: "PadicNumber", shift: int) -> "PadicNumber":
-        """x * zeta^shift: one rotation of the packed coordinates (no dense product)."""
-        pk = self.eisenstein_pk
-        width = _slot_width(self.pN - 1)
-        rotate_sums = _doubled_sums(pk, width, self.unram_degree)(pk)
-        n = rotate_sums([self._rotation_pack([x.coords], width)], [[shift % pk]])[0]
-        return PadicNumber(self, self._rotation_unpack(n, width))
+    def _rotation_lift(self, values, terms: int) -> tuple:
+        """(forms, sums, lower) for sums of at most `terms` zeta-power
+        multiples of values: their _rotation_pack forms, the rotation sums of
+        _doubled_sums on p^k slots, and lower(forms), the elements of such
+        sums, one _rotation_unpack each."""
+        width = _slot_width(terms * (self.pN - 1))
+
+        def lower(forms):
+            return [PadicNumber(self, self._rotation_unpack(x, width)) for x in forms]
+
+        return (self._rotation_pack([x.coords for x in values], width),
+                _doubled_sums(self.eisenstein_pk, width, self.unram_degree), lower)
+
+    def root_sum(self, values, m: int, exps) -> "PadicNumber":
+        """sum_i values[i] * zeta_m^exps[i], zeta_m placed by roots_of_unity.
+
+        A prime-to-p order m takes one product by a Teichmueller image per
+        term.  Otherwise the terms are grouped by their Teichmueller image;
+        a group is one sum of rotations of the packed values, unpacked once
+        and multiplied by its image once.
+        """
+        mp, u, images, v = self.roots_of_unity(m)
+        mq = len(images)
+        if mp == 1:
+            parts = zip((k * v % mq for k in exps), values)
+        else:
+            forms, sums, lower = self._rotation_lift(values, len(values))
+            rotate_sums = sums(mp)
+            groups: dict[int, tuple[list, list]] = {}
+            for x, k in zip(forms, exps):
+                xs, ts = groups.setdefault(k * v % mq, ([], []))
+                xs.append(x)
+                ts.append(k * u % mp)
+            parts = zip(groups, lower([sum(rotate_sums([xs], [ts])) for xs, ts in groups.values()]))
+        terms = [y * images[a] if a else y for a, y in parts]
+        return reduce(add, terms) if terms else self.zero()
 
     def zeta_substitution(self, x: "PadicNumber", a: int) -> "PadicNumber":
         """The inertia action zeta -> zeta^a (a prime to p): in each beta-block
@@ -1302,14 +1371,6 @@ def _teichmuller_lift(x: PadicNumber) -> PadicNumber:
     return y
 
 
-def teichmuller(a: int, p: int, precision: int) -> PadicNumber:
-    """The (p-1)-st root of unity in Z_p congruent to a mod p."""
-    if a % p == 0:
-        raise ArithError(f"{a} is divisible by {p}; no Teichmueller lift")
-    ring = PadicRing(p, precision)
-    return ring.from_int(pow(a, p ** (precision - 1), ring.pN))
-
-
 def padic_sqrt(x: PadicNumber | int, p: int | None = None, precision: int | None = None) -> PadicNumber:
     """Square root of a unit of Z_p whose residue is a quadratic residue.
 
@@ -1351,52 +1412,22 @@ def padic_sqrt(x: PadicNumber | int, p: int | None = None, precision: int | None
 def padic_ring_for_conductor(p: int, m: int, precision: int,
                              min_unram_degree: int = 1) -> PadicRing:
     """Smallest supported ring in which Q(zeta_m) embeds at the prime p."""
-    pk = 1
-    mm = m
-    while mm % p == 0:
-        pk = pk * p if pk > 1 else p
-        mm //= p
-    f = 1 if mm == 1 else multiplicative_order(p, mm)
+    pk, mq = PadicRing.split_conductor(p, m)
+    f = 1 if mq == 1 else multiplicative_order(p, mq)
     f = max(f, min_unram_degree)
     return PadicRing(p, precision, f, pk)
 
 
 def embed_cyclo_padic(x: CycloNumber, ring: PadicRing) -> PadicNumber:
-    """Fixed ring embedding Q(zeta_m) -> ring.
-
-    Prime-to-p roots of unity land on Teichmueller representatives through the
-    ring's canonical multiplicative generator; p-power roots land on the
-    Eisenstein generator.  The choice of prime above p is exactly the choice
-    of this map, which is deterministic per ring.
+    """Fixed ring embedding Q(zeta_m) -> ring: the root sum of x's integer
+    coordinates at the powers of zeta_m that ring.roots_of_unity places
+    (prime-to-p roots on Teichmueller representatives, p-power roots on the
+    Eisenstein generator), times 1/den.  The choice of prime above p is
+    exactly the choice of this map, which is deterministic per ring.
     """
-    m = x.m
-    pk_part = 1
-    mm = m
-    while mm % ring.p == 0:
-        pk_part = pk_part * ring.p if pk_part > 1 else ring.p
-        mm //= ring.p
-    if pk_part > ring.eisenstein_pk:
-        raise ArithError(
-            f"conductor {m} needs eisenstein part {pk_part}, ring has {ring.eisenstein_pk}")
-    q = ring.p ** ring.unram_degree
-    if mm > 1 and (q - 1) % mm != 0:
-        raise ArithError(
-            f"conductor {m} needs mu_{mm} in the residue field; "
-            f"unramified degree {ring.unram_degree} is insufficient")
-    zimg = ring.one()
-    if mm > 1:
-        gen = ring.teichmuller_generator()
-        zimg = zimg * gen ** ((q - 1) // mm * pow(pk_part, -1, mm))
-    if pk_part > 1:
-        zroot = ring.zeta_gen() ** (ring.eisenstein_pk // pk_part)
-        zimg = zimg * zroot ** pow(mm, -1, pk_part)
-    acc = ring.zero()
-    pw = ring.one()
-    for c in x.coeffs:
-        if c != 0:
-            acc = acc + pw * ring.from_fraction(c)
-        pw = pw * zimg
-    return acc
+    exps = [i for i, c in enumerate(x.num) if c]
+    total = ring.root_sum([ring.from_int(x.num[i]) for i in exps], x.m, exps)
+    return total * Fraction(1, x.den)
 
 
 # ---------------------------------------------------------------------------

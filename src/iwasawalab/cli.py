@@ -98,7 +98,6 @@ class RunConfig:
     tower: str | None = None
     suites: tuple = ALL_SUITES
     additive: str = PSI_MINUS_X
-    frobenius: str = "geometric"
     lattice_mode: str = "maximal"
     out: str | None = None
     trace: bool = False
@@ -111,7 +110,9 @@ class RunConfig:
             "tower": self.tower or "(built-in level-1 example)",
             "suites": list(self.suites),
             "additive": self.additive,
-            "frobenius": self.frobenius,
+            # the inverse-Frobenius (geometric) identification is the one
+            # convention the suites use
+            "frobenius": "geometric",
             "lattice_mode": self.lattice_mode,
             "trace": self.trace,
             "seed": self.seed,
@@ -558,15 +559,12 @@ def _add_common(sp):
     sp.add_argument("--trace", action="store_true")
     sp.add_argument("--seed", type=int, default=2024)
     sp.add_argument("--additive", choices=[PSI_MINUS_X, PSI_X], default=PSI_MINUS_X)
-    sp.add_argument("--frobenius", choices=["geometric", "arithmetic"],
-                    default="geometric")
     sp.add_argument("--mode", choices=["maximal", "sqrt-order"], default="maximal")
 
 
 def _config_from(args, suites) -> RunConfig:
     return RunConfig(p=args.p, precision=args.precision, tower=args.tower,
-                     suites=tuple(suites), additive=args.additive,
-                     frobenius=args.frobenius, lattice_mode=args.mode,
+                     suites=tuple(suites), additive=args.additive, lattice_mode=args.mode,
                      out=args.out, trace=args.trace, seed=args.seed)
 
 

@@ -8,9 +8,11 @@ by pushforwards model inverse-limit elements.
 
 Coefficient-ring adapter contract: zero, one, from_int, from_fraction,
 from_cyclo, is_zero, inv, mul_by_root(x, m, k) = x * zeta_m^k,
-root_sums(coeffs, m, rows), which returns sum_i coeffs[i] * zeta_m^row[i]
-for each row, and the transform forms of _CoeffAdapter (packs, sums, lift).
-Two kernels sum roots of unity:
+root_sum(coeffs, m, exps) = sum_i coeffs[i] * zeta_m^exps[i], and the
+transform forms of _CoeffAdapter (packs, sums, lift).  Over p-adic
+coefficients the ring places zeta_m (PadicRing.roots_of_unity, the choice of
+a prime above p) and takes the root sums (PadicRing.root_sum).  Two kernels
+sum roots of unity:
 
 * the Fourier transform (_transform), for the operations that need every
   character: fourier_invert and eval_all_chars over the whole group,
@@ -19,14 +21,14 @@ Two kernels sum roots of unity:
   factors of its order, on values lifted to Z[X]/(X^M - 1) and packed into
   one integer each, where zeta_M^s is a rotation (Nussbaumer's polynomial
   transform); each output is reduced once.
-* root_sums, for the operations that need one character: eval_char, twist
+* root_sum, for the operations that need one character: eval_char, twist
   and build_theta_component.  The cyclotomic adapter scales every
   coefficient to one common denominator, adds each term's integer
-  coordinates into slots indexed by the exponent of zeta and reduces each
-  row once through the zeta-power table; the p-adic adapter sums rotations
+  coordinates into slots indexed by the exponent of zeta and reduces the
+  sum once through the zeta-power table; PadicRing.root_sum sums rotations
   of the packed coefficients and multiplies once per prime-to-p root.
 
-One character is |G| terms through root_sums; through the transform it
+One character is |G| terms through root_sum; through the transform it
 would cost |G| times the sum of the prime factors and a reduction per
 character, so the split is by operation, not by size.  The exponents k of
 chi(g) = zeta_m^k are tabulated once per character.
@@ -133,13 +135,13 @@ class PrecisionExhausted(MeasureError):
 class _CoeffAdapter:
     """Defaults of the adapter contract for rings with no packed form.
 
-    root_sums(coeffs, m, rows) returns [sum_i coeffs[i] * zeta_m^row[i] for
-    each row]; the default adds mul_by_root terms.  The Fourier transform
-    (_transform) runs one axis of order n at a time, as stages of sums
-    rotate_sums(cols, exps)[q] = sum_j cols[j][q] * zeta_n^exps[j][q]:
+    root_sum(coeffs, m, exps) returns sum_i coeffs[i] * zeta_m^exps[i]; the
+    default adds mul_by_root terms, skipping exponent 0.  The Fourier
+    transform (_transform) runs one axis of order n at a time, as stages of
+    sums rotate_sums(cols, exps)[q] = sum_j cols[j][q] * zeta_n^exps[j][q]:
 
     * an axis with packs(n) false runs on ring elements, through sums(n)
-      below: one mul_by_root per term;
+      below: one root_sum per output;
     * the axes with packs(n) true run together on lifted forms.
       lift(values, m, terms) returns (forms, sums, lower): one form per
       value; sums(n), as above on forms (n | m), each term a rotation; and
@@ -156,12 +158,12 @@ class _CoeffAdapter:
       Phi_M and builds the canonical CycloNumber once per output.
     * PadicCoeffs packs the axes whose order divides p^k: each beta-block in
       Z[X]/(X^{p^k} - 1), lowered by PadicRing._rotation_unpack.  An axis of
-      prime-to-p order n runs on ring elements, one product by one of the n
-      cached Teichmueller images of mu_n per term.
+      prime-to-p order n runs on ring elements through PadicRing.root_sum,
+      one product by one of the n Teichmueller images of mu_n per term.
     * SymCoeffs takes the defaults here: every axis on ring elements.
 
     eval_char, twist and build_theta_component want one character, so they
-    call root_sums (or mul_by_root) directly and never run the transform.
+    call root_sum (or mul_by_root) directly and never run the transform.
     """
 
     def packs(self, n):
@@ -169,23 +171,15 @@ class _CoeffAdapter:
 
     def sums(self, n):
         """sums(n)(cols, exps)[q] = sum_j cols[j][q] * zeta_n^exps[j][q] on ring
-        elements: one mul_by_root per term with a nonzero exponent."""
-        def term(x, t):
-            return self.mul_by_root(x, n, t) if t else x
-
+        elements: one root_sum per output."""
         def rotate_sums(cols, exps):
-            return [reduce(add, map(term, xs, ts)) for xs, ts in zip(zip(*cols), zip(*exps))]
+            return [self.root_sum(xs, n, ts) for xs, ts in zip(zip(*cols), zip(*exps))]
 
         return rotate_sums
 
-    def root_sums(self, coeffs, m, exponent_rows):
-        out = []
-        for row in exponent_rows:
-            total = self.zero()
-            for c, k in zip(coeffs, row):
-                total = total + self.mul_by_root(c, m, k)
-            out.append(total)
-        return out
+    def root_sum(self, coeffs, m, exps):
+        terms = [self.mul_by_root(c, m, k) if k else c for c, k in zip(coeffs, exps)]
+        return reduce(add, terms) if terms else self.zero()
 
 
 class _CycloCoeffs(_CoeffAdapter):
@@ -267,25 +261,21 @@ class _CycloCoeffs(_CoeffAdapter):
 
         return forms, _doubled_sums(big_m, width, 1), lower
 
-    def root_sums(self, coeffs, m, exponent_rows):
+    def root_sum(self, coeffs, m, exps):
         big_m, den, ints = self._common(coeffs, m)
-        lifts = [big_m // c.m for c in coeffs]
         step = big_m // m
-        phi = euler_phi(big_m)
-        out = []
-        for row in exponent_rows:
-            # coordinate i of a term is zeta_big_m^(lift*i + step*k), an exponent
-            # below 2*big_m (lift * phi(c.m) <= big_m): one strided slice per
-            # term, then one pass of the kernel per row
-            slots = [0] * (2 * big_m)
-            for vec, lift, k in zip(ints, lifts, row):
-                b = step * k % big_m
-                stop = b + lift * len(vec)
-                slots[b:stop:lift] = map(add, slots[b:stop:lift], vec)
-            buf = [0] * phi
-            _accumulate_roots(buf, big_m, slots)
-            out.append(CycloNumber._from_ints(big_m, buf, den))
-        return out
+        # coordinate i of a term is zeta_big_m^(lift*i + step*k), an exponent
+        # below 2*big_m (lift * phi(c.m) <= big_m): one strided slice per term,
+        # then one pass of the kernel
+        slots = [0] * (2 * big_m)
+        for vec, c, k in zip(ints, coeffs, exps):
+            lift = big_m // c.m
+            b = step * k % big_m
+            stop = b + lift * len(vec)
+            slots[b:stop:lift] = map(add, slots[b:stop:lift], vec)
+        buf = [0] * euler_phi(big_m)
+        _accumulate_roots(buf, big_m, slots)
+        return CycloNumber._from_ints(big_m, buf, den)
 
     def __repr__(self):
         return "CYCLO"
@@ -295,15 +285,13 @@ CYCLO = _CycloCoeffs()
 
 
 class PadicCoeffs(_CoeffAdapter):
-    """Adapter for a fixed PadicRing; caches, per order m of the roots of
-    unity it meets, the Teichmueller images of the prime-to-p part of mu_m
-    (see _root_parts)."""
+    """Adapter for a fixed PadicRing; roots of unity are placed, and root
+    sums taken, by the ring (PadicRing.roots_of_unity and root_sum)."""
 
     name = "padic"
 
     def __init__(self, ring: PadicRing):
         self.ring = ring
-        self._roots: dict[int, tuple] = {}
 
     def zero(self):
         return self.ring.zero()
@@ -326,68 +314,17 @@ class PadicCoeffs(_CoeffAdapter):
     def inv(self, x):
         return x.inverse()
 
-    def _root_parts(self, m):
-        """(mp, u, images, v): zeta_m^k = zeta_mp^(k u mod mp) * images[k v mod mq]
-        for the p-part mp of m, mq = m / mp and images the Teichmueller images
-        of mu_mq, as embed_cyclo_padic places zeta_m."""
-        parts = self._roots.get(m)
-        if parts is None:
-            p, pk = self.ring.p, self.ring.eisenstein_pk
-            mp = 1
-            while m % (mp * p) == 0:
-                mp *= p
-            if pk % mp:
-                raise ArithError(f"conductor {m} needs eisenstein part {mp}, ring has {pk}")
-            mq = m // mp
-            images = [self.from_cyclo(zeta(mq, a)) for a in range(mq)]
-            parts = self._roots[m] = (mp, pow(mq, -1, mp), images, pow(mp, -1, mq))
-        return parts
-
     def mul_by_root(self, x, m, k):
-        mp, u, images, v = self._root_parts(m)
-        mq = len(images)
-        if k * v % mq:
-            x = x * images[k * v % mq]
-        s = k * u % mp
-        return self.ring.mul_zeta_power(x, self.ring.eisenstein_pk // mp * s) if s else x
+        return self.ring.root_sum([x], m, [k])
+
+    def root_sum(self, coeffs, m, exps):
+        return self.ring.root_sum(coeffs, m, exps)
 
     def packs(self, n):
         return self.ring.eisenstein_pk % n == 0
 
     def lift(self, values, m, terms):
-        ring = self.ring
-        width = _slot_width(terms * (ring.pN - 1))
-
-        def lower(forms):
-            return [PadicNumber(ring, ring._rotation_unpack(x, width)) for x in forms]
-
-        return (ring._rotation_pack([v.coords for v in values], width),
-                _doubled_sums(ring.eisenstein_pk, width, ring.unram_degree), lower)
-
-    def root_sums(self, coeffs, m, exponent_rows):
-        mp, u, images, v = self._root_parts(m)
-        mq = len(images)
-        if mp == 1:
-            # a prime-to-p order: one product by a cached image per term
-            return super().root_sums(coeffs, m, exponent_rows)
-        # the Teichmueller part of each term picks its group; a group is a
-        # rotated sum of packed coefficients, lowered once and multiplied once
-        forms, sums, lower = self.lift(coeffs, mp, len(coeffs))
-        rotate_sums = sums(mp)
-        keys, parts = [], []
-        for r, row in enumerate(exponent_rows):
-            groups: dict[int, tuple[list, list]] = {}
-            for x, k in zip(forms, row):
-                xs, ts = groups.setdefault(k * v % mq, ([], []))
-                xs.append(x)
-                ts.append(k * u % mp)
-            for a, (xs, ts) in groups.items():
-                keys.append((r, a))
-                parts.append(sum(rotate_sums([xs], [ts])))
-        out = [self.zero()] * len(exponent_rows)
-        for (r, a), y in zip(keys, lower(parts)):
-            out[r] = out[r] + (y * images[a] if a else y)
-        return out
+        return self.ring._rotation_lift(values, terms)
 
     def __repr__(self):
         return f"PadicCoeffs({self.ring!r})"
@@ -600,7 +537,7 @@ def eval_char(f: Measure, chi: GroupChar):
     index, _ = _group_index(f.group.orders)
     exponents = _char_row(f.group.orders, chi.exponents)
     row = [exponents[index[g]] for g in f.coeffs]
-    return f.ring.root_sums(list(f.coeffs.values()), f.group.exponent(), [row])[0]
+    return f.ring.root_sum(list(f.coeffs.values()), f.group.exponent(), row)
 
 
 def eval_rep(f: Measure, rho: ArtinRep):
@@ -867,7 +804,7 @@ def build_theta_component(nu: Measure, psi_theta: GroupChar, delta_value,
         coeffs.append(c)
         ks.append(psi_row[inverse[index[shifted]]])
     m = group.exponent()
-    return Measure(pr.target, ring, {x: ring.root_sums(coeffs, m, [ks])[0] * scale
+    return Measure(pr.target, ring, {x: ring.root_sum(coeffs, m, ks) * scale
                                      for x, (coeffs, ks) in by_point.items()})
 
 
@@ -876,7 +813,7 @@ def build_theta_component(nu: Measure, psi_theta: GroupChar, delta_value,
 #
 # The transform below serves the operations that need every character.
 # eval_char, twist and build_theta_component need one, so they keep
-# root_sums: for one character the transform would lift every value and
+# root_sum: for one character the transform would lift every value and
 # compute every output to read one of them.
 # ---------------------------------------------------------------------------
 

@@ -26,7 +26,6 @@ __all__ = [
     "RepInvariants",
     "classify_irreps",
     "induce",
-    "restrict",
     "inner_product",
     "rep_invariants",
 ]
@@ -165,10 +164,6 @@ def classify_irreps(sg: SemidirectGroup) -> list[ArtinRep]:
 def induce(sg: SemidirectGroup, chi: GroupChar) -> ArtinRep:
     """Induction of a G-character; reducible when chi is c-fixed."""
     return ArtinRep(sg, "induced", chi)
-
-
-def restrict(rho: ArtinRep) -> list[GroupChar]:
-    return rho.restriction()
 
 
 def inner_product(rho1: ArtinRep, rho2: ArtinRep) -> int:

@@ -6,6 +6,7 @@ in the comments (brute force over residues, extended-gcd checks) and frozen.
 
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -24,9 +25,9 @@ from iwasawalab.arith import (
     legendre_symbol,
     padic_ring_for_conductor,
     padic_sqrt,
-    teichmuller,
     zeta,
 )
+from iwasawalab.grpring import PadicCoeffs
 
 
 # ---------------------------------------------------------------------------
@@ -101,23 +102,26 @@ def test_mul_root_agrees_with_full_product():
 # ---------------------------------------------------------------------------
 
 def test_teichmuller_spec_values():
-    assert teichmuller(1, 5, 4) == PadicRing(5, 4).from_int(1)
-    # oracle: brute force over residues mod 25 with x^4 = 1, x = a mod 5
-    assert teichmuller(2, 5, 2).coords[0] == 7
-    assert teichmuller(4, 5, 2).coords[0] == 24
-
-
-def test_teichmuller_rejects_zero_residue():
-    with pytest.raises(ArithError):
-        teichmuller(10, 5, 3)
+    # the ring's images of mu_4 in Z_5; oracle: brute force over residues
+    # mod 25 with x^4 = 1
+    assert PadicRing(5, 4).roots_of_unity(4)[2][0] == PadicRing(5, 4).one()
+    assert sorted(x.coords[0] for x in PadicRing(5, 2).roots_of_unity(4)[2]) == [1, 7, 18, 24]
 
 
 def test_teichmuller_multiplicative_every_precision():
+    # the cached images of mu_4 against pow(a, p^(N-1), p^N), the
+    # Teichmueller lift of a mod p
     for n in range(1, 9):
-        for a in range(1, 5):
-            for b in range(1, 5):
-                lhs = teichmuller(a, 5, n) * teichmuller(b, 5, n)
-                assert lhs == teichmuller(a * b % 5, 5, n)
+        ring = PadicRing(5, n)
+        images = ring.roots_of_unity(4)[2]
+        residues = [x.coords[0] % 5 for x in images]
+        assert sorted(residues) == [1, 2, 3, 4]
+        for x, a in zip(images, residues):
+            assert x ** 4 == ring.one()
+            assert x.coords[0] == pow(a, 5 ** (n - 1), 5 ** n)
+        for a in range(4):
+            for b in range(4):
+                assert images[a] * images[b] == images[(a + b) % 4]
 
 
 def test_padic_sqrt_spec_values():
@@ -231,7 +235,7 @@ def test_every_padic_operation_returns_reduced_coordinates(p, f, pk):
             made.append(ring.unram_gen())
         if pk > 1:
             made += [ring.zeta_gen(), ring.zeta_substitution(x, p + 1),
-                     ring.mul_zeta_power(x, pk - 1)]
+                     ring.root_sum([x], pk, [pk - 1]), ring.root_sum([x, y], pk, [1, 2])]
         for z in made:
             _assert_reduced(z)
 
@@ -299,17 +303,47 @@ def test_padic_product_matches_schoolbook(p, N, f, pk):
 
 @pytest.mark.parametrize("p, N, f, pk", [(5, 6, 2, 25), (5, 4, 1, 125), (7, 3, 3, 7)])
 def test_mul_zeta_power_is_multiplication_by_zeta_power(p, N, f, pk):
+    # x * zeta^s as the one-term root sum of the p-power order pk
     ring = PadicRing(p, N, f, pk)
     rng = random.Random(21)
     x = ring.from_coords([rng.randrange(ring.pN) for _ in range(ring.dim)])
     z = ring.zeta_gen()
     for s in range(pk):
-        assert ring.mul_zeta_power(x, s) == x * z ** s
+        assert ring.root_sum([x], pk, [s]) == x * z ** s
 
 
 # ---------------------------------------------------------------------------
 # cyclotomic-to-p-adic embedding
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _dense_powers(ring, m):
+    """zeta_m^i in ring for i < phi(m), multiplied up densely from one image
+    of zeta_m: a power of the Teichmueller generator times a power of the
+    Eisenstein generator.  Built without ring.roots_of_unity, which it checks."""
+    mp, mq = 1, m
+    while mq % ring.p == 0:
+        mp, mq = mp * ring.p, mq // ring.p
+    q = ring.p ** ring.unram_degree
+    img = ring.one()
+    if mq > 1:
+        img = ring.teichmuller_generator() ** ((q - 1) // mq * pow(mp, -1, mq))
+    if mp > 1:
+        img = img * (ring.zeta_gen() ** (ring.eisenstein_pk // mp)) ** pow(mq, -1, mp)
+    powers = [ring.one()]
+    for _ in range(euler_phi(m) - 1):
+        powers.append(powers[-1] * img)
+    return tuple(powers)
+
+
+def _dense_embed(x, ring):
+    """embed_cyclo_padic(x, ring) as the dense sum of c_i * zeta_m^i."""
+    total = ring.zero()
+    for c, z in zip(x.coeffs, _dense_powers(ring, x.m)):
+        if c:
+            total = total + z * ring.from_fraction(c)
+    return total
+
 
 def test_embed_spec_values():
     assert embed_cyclo_padic(CycloNumber.from_rational(1), PadicRing(5, 4)) == PadicRing(5, 4).one()
@@ -318,6 +352,22 @@ def test_embed_spec_values():
     ring = padic_ring_for_conductor(5, 5, 4)
     img = embed_cyclo_padic(zeta(5), ring)
     assert (img - ring.one()).valuation() == F(1, 4)
+
+
+EMBED_CONDUCTORS = (4, 5, 12, 15, 20, 25, 60, 100)
+
+
+@pytest.mark.parametrize("m", EMBED_CONDUCTORS)
+def test_embed_matches_dense_reference(m):
+    # the ring of conductor m (15 and 60 give mixed(2, 5)) and values of
+    # every listed conductor dividing m, with denominators prime to p
+    rng = random.Random(m)
+    ring = padic_ring_for_conductor(5, m, 8)
+    for d in (d for d in (1, 3) + EMBED_CONDUCTORS if m % d == 0):
+        for _ in range(5):
+            x = CycloNumber(d, [F(rng.randint(-99, 99), rng.choice([1, 3, 7]))
+                                if rng.random() < 0.7 else 0 for _ in range(euler_phi(d))])
+            assert embed_cyclo_padic(x, ring) == _dense_embed(x, ring)
 
 
 def test_embed_is_ring_map_200_random_pairs():
@@ -334,10 +384,12 @@ def test_embed_is_ring_map_200_random_pairs():
 
 
 def test_embed_rejects_insufficient_ring():
-    with pytest.raises(ArithError):
-        embed_cyclo_padic(zeta(25), PadicRing(5, 4))  # no eisenstein part
-    with pytest.raises(ArithError):
-        embed_cyclo_padic(zeta(3), PadicRing(5, 4))  # mu_3 not in Z_5
+    ring = PadicRing(5, 4)
+    for m in (25, 3):  # no eisenstein part; mu_3 not in Z_5
+        with pytest.raises(ArithError):
+            embed_cyclo_padic(zeta(m), ring)
+        with pytest.raises(ArithError):
+            PadicCoeffs(ring).mul_by_root(ring.one(), m, 1)
 
 
 def test_frobenius_is_ring_automorphism():

@@ -12,6 +12,7 @@ from iwasawalab.cli import (
     canonical_body_bytes,
     emit_report,
     load_tower,
+    main,
     run_suites,
 )
 
@@ -85,7 +86,16 @@ def test_report_embeds_resolved_config():
     body, _ = run_suites(config)
     assert body["config"]["lattice_mode"] == "sqrt-order"
     assert body["config"]["seed"] == 7
+    assert body["config"]["frobenius"] == "geometric"
     assert body["schema"] == "iwasawalab-report/1"
+
+
+def test_frobenius_is_not_an_option():
+    # the suites use the geometric identification only, which the report
+    # states as a fixed convention; no option claims another
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--frobenius", "arithmetic", "--suite", "lattice"])
+    assert exc.value.code == 2
 
 
 def test_ratio_suite_trace_included_when_requested():

@@ -10,14 +10,19 @@ contain it, so the verify checksum depends on it).
 import random
 import time
 from fractions import Fraction as F
+from functools import reduce
+from itertools import repeat
 from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iwasawalab.arith import CycloNumber, cyclotomic_poly, euler_phi, zeta
-from iwasawalab.grpring import CYCLO, _CoeffAdapter
+from iwasawalab.arith import (CycloNumber, PadicRing, cyclotomic_poly, euler_phi,
+                              padic_ring_for_conductor, zeta)
+from iwasawalab.grpring import CYCLO, PadicCoeffs
+from iwasawalab.symratio import SymCoeffs, SymExpr
 
 CONDUCTORS = (1, 2, 4, 12, 100, 125, 500)
 
@@ -77,17 +82,32 @@ def test_product_of_roots_wraps_past_the_conductor():
 
 
 def test_root_sums_matches_sum_of_mul_root_terms():
+    # one row of exponents per root_sum call, over CYCLO, PadicCoeffs on
+    # Z_5[zeta_25], mixed(2, 5) and the conductor-100 ring, and SymCoeffs,
+    # against the sum of mul_by_root terms; an empty support gives zero
     rng = random.Random(4)
-    coeffs = ([CycloNumber(100, random_coords(rng, 40, 0.5, 8)) for _ in range(6)]
-              + [CycloNumber.from_rational(F(rng.randint(-9, 9), 7)) for _ in range(3)]
-              + [CycloNumber(20, random_coords(rng, 8, 1.0, 4)) for _ in range(3)]
-              + [CycloNumber.from_rational(0, 25)])
-    for m in (25, 100):
-        rows = [[rng.randrange(m) for _ in coeffs] for _ in range(7)]
-        got = CYCLO.root_sums(coeffs, m, rows)
-        assert got == _CoeffAdapter.root_sums(CYCLO, coeffs, m, rows)
-        for x in got:
-            assert_canonical(x)
+    cyclo = ([CycloNumber(100, random_coords(rng, 40, 0.5, 8)) for _ in range(6)]
+             + [CycloNumber.from_rational(F(rng.randint(-9, 9), 7)) for _ in range(3)]
+             + [CycloNumber(20, random_coords(rng, 8, 1.0, 4)) for _ in range(3)]
+             + [CycloNumber.from_rational(0, 25)])
+    cases = [(CYCLO, cyclo, (25, 100))]
+    for ring, orders in ((PadicRing(5, 6, 1, 25), (5, 25)), (PadicRing(5, 6, 2, 5), (15, 60)),
+                         (padic_ring_for_conductor(5, 100, 8), (4, 100))):
+        coeffs = [ring.from_coords([rng.randrange(ring.pN) if rng.random() < 0.6 else 0
+                                    for _ in range(ring.dim)]) for _ in range(12)]
+        cases.append((PadicCoeffs(ring), coeffs + [ring.zero()], orders))
+    sym = SymCoeffs()
+    cases.append((sym, [SymExpr.sym("L", rng.randint(-2, 2)) * sym.from_cyclo(c)
+                        for c in cyclo if c.m in (1, 20)], (12, 20)))
+    for ring, coeffs, orders in cases:
+        for m in orders:
+            for _ in range(3):
+                exps = [rng.randrange(m) for _ in coeffs]
+                got = ring.root_sum(coeffs, m, exps)
+                assert got == reduce(add, map(ring.mul_by_root, coeffs, repeat(m), exps))
+                if ring is CYCLO:
+                    assert_canonical(got)
+            assert ring.root_sum([], m, []) == ring.zero()
 
 
 def test_repr_golden():

@@ -1,6 +1,7 @@
 """Every name a module lists in __all__ exists, no module imports a name it
-does not use, and every top-level function or class of the package is
-referenced somewhere in the package, its tests or the benchmark."""
+does not use, every top-level function or class of the package is
+referenced somewhere in the package, its tests or the benchmark, and the
+definitions that only tests reference are a frozen list."""
 
 import ast
 import importlib
@@ -56,7 +57,6 @@ def test_no_unused_module_imports(name):
 
 
 REPO = Path(__file__).resolve().parent.parent
-OTHER_DIRS = ("tests", "labbench")
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -101,9 +101,49 @@ def test_scan_flags_an_unreferenced_definition():
     assert _unreferenced_definitions(package, [other]) == []
 
 
+def _test_only_definitions(package: dict[str, str], others: list[str],
+                           tests: list[str]) -> list[str]:
+    """module.name for each top-level function or class of the package that
+    the test sources reference and no other source (package or other) does."""
+    return sorted(set(_unreferenced_definitions(package, others))
+                  - set(_unreferenced_definitions(package, others + tests)))
+
+
+def test_scan_flags_a_test_only_definition():
+    package = {"m": ("def lib():\n    return 1\n"
+                     "def checked():\n    return lib()\n"
+                     "def dead():\n    return 3\n")}
+    bench = "from m import lib\nlib()\n"
+    test = "from m import checked, lib\nassert checked() == lib()\n"
+    assert _test_only_definitions(package, [bench], [test]) == ["m.checked"]
+    assert _test_only_definitions(package, [bench, "m.checked()\n"], [test]) == []
+
+
+def _package() -> dict[str, str]:
+    return {p.stem: p.read_text(encoding="utf-8")
+            for p in Path(iwasawalab.__file__).parent.glob("*.py")}
+
+
+def _sources(directory: str) -> list[str]:
+    return [p.read_text(encoding="utf-8") for p in sorted((REPO / directory).rglob("*.py"))]
+
+
 def test_every_definition_is_referenced():
-    package = {p.stem: p.read_text(encoding="utf-8")
-               for p in Path(iwasawalab.__file__).parent.glob("*.py")}
-    others = [p.read_text(encoding="utf-8")
-              for d in OTHER_DIRS for p in sorted((REPO / d).rglob("*.py"))]
-    assert _unreferenced_definitions(package, others) == []
+    assert _unreferenced_definitions(_package(), _sources("tests") + _sources("labbench")) == []
+
+
+# The library names that only tests read.  A name leaves this list when the
+# library or the benchmark comes to use it, or when it moves into the tests
+# or is deleted; no name joins it.
+TEST_ONLY = [
+    "epsilon.inductivity_split",
+    "grpring.Tower",
+    "reps.inner_product",
+    "reps.inner_product_with_char",
+    "symratio.check_twist_reproduces_variant",
+    "symratio.twist_unit_expected",
+]
+
+
+def test_test_only_definitions_are_frozen():
+    assert _test_only_definitions(_package(), _sources("labbench"), _sources("tests")) == TEST_ONLY

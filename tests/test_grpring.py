@@ -40,6 +40,7 @@ from iwasawalab.grpring import (
     twist,
 )
 from iwasawalab.reps import ArtinRep, induce
+from test_arith import _dense_embed
 
 
 def _z3():
@@ -201,14 +202,16 @@ def test_split_eval_contract():
 
 
 def _naive_eval_char(f, chi):
-    """sum_g f(g) ring.from_cyclo(chi(g)), one embedded root per term."""
+    """sum_g f(g) chi(g), one embedded root per term; over PadicCoeffs the
+    root is embedded densely (_dense_embed), not by the ring's placement."""
     ring = f.ring
+    embed = (lambda c: _dense_embed(c, ring.ring)) if isinstance(ring, PadicCoeffs) else ring.from_cyclo
     roots = {}
     total = ring.zero()
     for g, c in f.coeffs.items():
         key = chi.value_exponent(g)
         if key not in roots:
-            roots[key] = ring.from_cyclo(chi.value(g))
+            roots[key] = embed(chi.value(g))
         total = total + c * roots[key]
     return total
 
@@ -290,10 +293,10 @@ def test_eval_all_chars_makes_one_transform_call(monkeypatch):
         return transform(*args)
 
     def one_character_kernel(*args):
-        raise AssertionError("eval_all_chars called root_sums")
+        raise AssertionError("eval_all_chars called root_sum")
 
     monkeypatch.setattr(grpring, "_transform", counted)
-    monkeypatch.setattr(PadicCoeffs, "root_sums", one_character_kernel)
+    monkeypatch.setattr(PadicCoeffs, "root_sum", one_character_kernel)
     eval_all_chars(f)
     assert len(calls) == 1 and len(calls[0][1]) == 25
 

@@ -42,6 +42,7 @@ from iwasawalab.grpring import (
     twist,
 )
 from iwasawalab.symratio import SymCoeffs, SymExpr
+from test_arith import _dense_embed
 
 P, N = 5, 6
 GROUPS = [(4,), (8,), (3,), (25,), (2, 2), (2, 6), (4, 5), (5, 5), (2, 25),
@@ -140,10 +141,12 @@ def test_twist_shifts_the_character(name, ring, make):
 # ---------------------------------------------------------------------------
 
 def _root(ring, m, k, cache):
-    """zeta_m^k in the ring, through from_cyclo (the embedding), cached per call."""
+    """zeta_m^k in the ring, cached per call: through the dense embedding
+    (_dense_embed) over PadicCoeffs, through from_cyclo over the others."""
     key = (m, k % m)
     if key not in cache:
-        cache[key] = ring.from_cyclo(zeta(m, k))
+        cache[key] = (_dense_embed(zeta(m, k), ring.ring) if isinstance(ring, PadicCoeffs)
+                      else ring.from_cyclo(zeta(m, k)))
     return cache[key]
 
 

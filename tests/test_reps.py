@@ -18,7 +18,6 @@ from iwasawalab.reps import (
     inner_product,
     inner_product_with_char,
     rep_invariants,
-    restrict,
 )
 
 
@@ -95,7 +94,7 @@ def test_induce_generic_char_is_irreducible():
     ind = induce(sg, chi)
     assert ind.is_irreducible()
     assert inner_product(ind, ind) == 1
-    assert restrict(ind) == [chi, sg.conjugate_char(chi)]
+    assert ind.restriction() == [chi, sg.conjugate_char(chi)]
     # Ind chi and Ind chi^c share the character function
     ind2 = induce(sg, sg.conjugate_char(chi))
     for x in sg.elements():
