@@ -365,6 +365,17 @@ def _zeta_num(m: int, k: int) -> tuple[int, ...]:
 # CycloNumber
 # ---------------------------------------------------------------------------
 
+def _exact(x) -> Fraction:
+    """Fraction(x), for an int, a Fraction or a string such as "1/3".  A
+    binary float is refused: 0.1 would be read as
+    3602879701896397/36028797018963968, not as the 1/10 it was written for.
+    Hot paths test for int and Fraction first and call this for the rest."""
+    if isinstance(x, float):
+        raise TypeError(f"binary float {x!r} is not an exact value; "
+                        f"pass an int, a Fraction or a string such as '1/3'")
+    return Fraction(x)
+
+
 class CycloNumber:
     """Exact element of the m-th cyclotomic field Q(zeta_m).
 
@@ -381,7 +392,7 @@ class CycloNumber:
     def __init__(self, m: int, coeffs):
         _check_conductor(m)
         phi = euler_phi(m)
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [_exact(c) for c in coeffs]
         if len(coeffs) != phi:
             raise ArithError(f"need {phi} coordinates for conductor {m}, got {len(coeffs)}")
         # the lcm of reduced denominators leaves gcd(den, *num) == 1
@@ -413,7 +424,7 @@ class CycloNumber:
     @staticmethod
     def from_rational(x, m: int = 1) -> "CycloNumber":
         _check_conductor(m)
-        q = x if isinstance(x, (int, Fraction)) else Fraction(x)
+        q = x if isinstance(x, (int, Fraction)) else _exact(x)
         return CycloNumber._from_ints(m, (q.numerator,) + (0,) * (euler_phi(m) - 1),
                                       q.denominator)
 
@@ -498,9 +509,11 @@ class CycloNumber:
         return CycloNumber._from_ints(self.m, [c * n for c in self.num], self.den * d)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other.numerator, other.denominator)
-        other = CycloNumber._coerce(other)
+        # CycloNumber is tested first: the Fraction test goes through ABCMeta
+        if not isinstance(other, CycloNumber):
+            if isinstance(other, (int, Fraction)):
+                return self._scale(other.numerator, other.denominator)
+            other = CycloNumber._coerce(other)  # any other type raises
         # a rational factor (conductor 1) scales coordinates
         if other.m == 1:
             return self._scale(other.num[0], other.den)
@@ -580,8 +593,9 @@ class CycloNumber:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def galois(self, a: int) -> "CycloNumber":
@@ -597,12 +611,12 @@ class CycloNumber:
     # -- comparisons / hashing -----------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, CycloNumber):
+            a, b = CycloNumber._merge(self, other)
+            return a.den == b.den and a.num == b.num
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.num[0] == other * self.den
-        if not isinstance(other, CycloNumber):
-            return NotImplemented
-        a, b = CycloNumber._merge(self, other)
-        return a.den == b.den and a.num == b.num
+        return NotImplemented
 
     def __hash__(self):
         # lifted copies at different conductors compare equal, so irrational
@@ -743,7 +757,8 @@ class PadicRing:
         return PadicNumber(self, tuple(coords))
 
     def from_fraction(self, q) -> "PadicNumber":
-        q = Fraction(q)
+        if not isinstance(q, (int, Fraction)):
+            q = _exact(q)
         den = q.denominator
         if den % self.p == 0:
             raise ArithError(f"denominator of {q} is divisible by p={self.p}")
@@ -1448,12 +1463,12 @@ class QuadFieldElem:
     def __post_init__(self):
         if self.d not in CLASS_NUMBER_ONE_DISCS:
             raise ArithError(f"unsupported discriminant parameter {self.d}")
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "a", _exact(self.a))
+        object.__setattr__(self, "b", _exact(self.b))
 
     @staticmethod
     def rational(d: int, x) -> "QuadFieldElem":
-        return QuadFieldElem(d, Fraction(x), Fraction(0))
+        return QuadFieldElem(d, x, 0)
 
     @staticmethod
     def sqrt_minus_d(d: int) -> "QuadFieldElem":

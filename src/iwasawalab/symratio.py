@@ -20,7 +20,12 @@ inverse or power of canonical operands (`_product`) merges the scalars and
 monomials and concatenates the factor lists without refolding them: it
 cancels identical factors and tries exact division only on cross pairs,
 since no pair inside one canonical operand divides.  A factor-free product
-is a monomial merge.
+is a monomial merge.  Atoms and scalars are canonical at construction: a
+lone scalar, and a symbol other than w (eliminated) and i (reduced mod 4),
+never enter the fold.  A rewrite step of `reduce_ratio` is one product
+(`_rewrite`): the expression with the atom's monomial removed, times |e|
+copies of the replacement (of its inverse when e < 0) that share one
+origin, as in a power.
 L-values and prime-to-p epsilon factors are opaque unit atoms with
 an explicit rewrite-rule list (inductivity, imprimitivity, epsilon
 splitting, the functional equation); nothing analytic is ever estimated.
@@ -60,8 +65,6 @@ __all__ = [
     "ThetaRecord",
     "build_twist_unit",
     "twist_unit_evaluation",
-    "twist_unit_expected",
-    "check_twist_reproduces_variant",
 ]
 
 
@@ -99,7 +102,9 @@ Mono = tuple[tuple[str, int], ...]  # sorted, nonzero exponents
 
 
 def _mono_from_dict(d: dict) -> Mono:
-    return tuple(sorted((s, e) for s, e in d.items() if e))
+    if 0 in d.values():
+        return tuple(sorted((s, e) for s, e in d.items() if e))
+    return tuple(sorted(d.items()))
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
@@ -203,10 +208,15 @@ class SymExpr:
     def __init__(self, rel: Relation, scalar, mono=None, num=(), den=()):
         if not isinstance(scalar, CycloNumber):
             scalar = CycloNumber.from_rational(scalar)
+        self.rel = rel
+        if not mono and not num and not den:
+            # a lone scalar is canonical as it stands
+            self.scalar, self.mono, self.num, self.den = \
+                _ZERO_FORM if scalar.is_zero() else (scalar, (), (), ())
+            return
         mono = mono or ()
         if isinstance(mono, dict):
             mono = _mono_from_dict(mono)
-        self.rel = rel
         self.scalar, self.mono, self.num, self.den = _normalize(rel, scalar, mono,
                                                                 list(num), list(den))
 
@@ -214,14 +224,17 @@ class SymExpr:
 
     @staticmethod
     def sym(name: str, power: int = 1, rel: Relation = Relation()) -> "SymExpr":
-        return SymExpr(rel, 1, {name: power})
+        """name^power; only w (eliminated) and i (reduced mod 4) need the fold."""
+        if name == W or name == I_UNIT:
+            return SymExpr(rel, 1, {name: power})
+        return _canonical(rel, _ONE, ((name, power),) if power else (), (), ())
 
     @staticmethod
     def poly(terms: dict, rel: Relation = Relation()) -> "SymExpr":
         """terms: mono-dict -> scalar; a single polynomial factor."""
         p = _poly_from_dict({
             _mono_from_dict(dict(m)): (c if isinstance(c, CycloNumber)
-                                       else CycloNumber.from_rational(Fraction(c)))
+                                       else CycloNumber.from_rational(c))
             for m, c in terms.items()})
         return SymExpr(rel, 1, (), [p], ())
 
@@ -232,9 +245,6 @@ class SymExpr:
 
     def is_monomial(self) -> bool:
         return not self.num and not self.den and not self.is_zero()
-
-    def is_one(self) -> bool:
-        return self.is_monomial() and not self.mono and self.scalar == 1
 
     def atoms(self) -> list[tuple[str, int]]:
         return [(s, e) for s, e in self.mono if s.startswith("@")]
@@ -365,42 +375,6 @@ class SymExpr:
     def __repr__(self):
         return f"SymExpr({self.render()})"
 
-    # -- substitution ----------------------------------------------------------
-
-    def substitute_pair(self, env: dict, ring):
-        """(numerator value, denominator value) in the given coefficient ring."""
-
-        def mono_val(m: Mono):
-            nv, dv = ring.one(), ring.one()
-            for s, e in m:
-                if s not in env:
-                    raise SymError(f"no substitution for symbol {s!r}")
-                base = env[s]
-                if e > 0:
-                    for _ in range(e):
-                        nv = nv * base
-                else:
-                    for _ in range(-e):
-                        dv = dv * base
-            return nv, dv
-
-        def poly_val(p: Poly):
-            total = ring.zero()
-            for m, c in p:
-                nv, dv = mono_val(m)
-                if dv != ring.one():
-                    raise SymError("polynomial factors must clear denominators first")
-                total = total + ring.from_cyclo(c) * nv
-            return total
-
-        nv, dv = mono_val(self.mono)
-        nv = nv * ring.from_cyclo(self.scalar)
-        for p in self.num:
-            nv = nv * poly_val(p)
-        for p in self.den:
-            dv = dv * poly_val(p)
-        return nv, dv
-
 
 def _canonical(rel: Relation, scalar: CycloNumber, mono: Mono,
                num: tuple, den: tuple) -> SymExpr:
@@ -471,6 +445,7 @@ def _canon(rel: Relation, poly: Poly) -> tuple[Mono, Poly] | None:
 
 
 _ZERO_FORM = (CycloNumber.from_rational(0), (), (), ())
+_ONE = CycloNumber.from_rational(1)
 
 
 class _Fold:
@@ -550,8 +525,9 @@ class _Fold:
                     return _ZERO_FORM
                 changed = True
                 break
-        num.sort(key=_render_poly)
-        den.sort(key=_render_poly)
+        for side in (num, den):
+            if len(side) > 1:
+                side.sort(key=_render_poly)
         mono, scalar = _reduce_term(self.rel, self.md, self.scalar)
         return scalar, mono, tuple(num), tuple(den)
 
@@ -621,7 +597,7 @@ class SymCoeffs(_CoeffAdapter):
         return SymExpr(self.rel, n)
 
     def from_fraction(self, q):
-        return SymExpr(self.rel, Fraction(q))
+        return SymExpr(self.rel, q)
 
     def from_cyclo(self, c):
         return SymExpr(self.rel, c)
@@ -1021,6 +997,21 @@ def _expand_atom(ctx: RatioContext, name: str) -> tuple[str, SymExpr] | None:
     raise SymError(f"no expansion rule for atom kind {kind!r}")
 
 
+def _rewrite(expr: SymExpr, name: str, e: int, repl: SymExpr) -> SymExpr:
+    """expr with its atom name^e replaced by repl^e, as one product: the
+    |e| copies of repl (of its inverse when e < 0) share one origin, as in
+    a power, and only their pairs with expr's factors are tried."""
+    expr._chk(repl)
+    base = repl if e > 0 else repl.inverse()
+    n = abs(e)
+    md = dict(expr.mono)
+    del md[name]
+    for s, x in base.mono:
+        md[s] = md.get(s, 0) + n * x
+    return _product(expr.rel, expr.scalar * base.scalar ** n, md,
+                    ((0, expr.num, expr.den),) + ((1, base.num, base.den),) * n)
+
+
 def reduce_ratio(ctx: RatioContext, numerator: SymExpr, denominator: SymExpr,
                  j: int = 0, want_trace: bool = False):
     """Reduce numerator/denominator by the rewrite rules to canonical form.
@@ -1044,7 +1035,7 @@ def reduce_ratio(ctx: RatioContext, numerator: SymExpr, denominator: SymExpr,
                 continue
             rule, repl = expansion
             before = expr.render() if want_trace else None
-            expr = expr * SymExpr.sym(name, -e, ctx.rel) * repl ** e
+            expr = _rewrite(expr, name, e, repl)
             if want_trace:
                 trace.append({
                     "rule": rule,
@@ -1141,7 +1132,12 @@ class TwistUnitData:
 
 
 def build_twist_unit(ctx: RatioContext, data: TwistUnitData) -> Measure:
-    """Assemble the unit E from its theta components ((1/N) epsQ sigma^-1)."""
+    """Assemble the unit E from its theta components ((1/N) epsQ sigma^-1).
+
+    E is the paper's prime-to-p twist unit: the direct weight-k formula
+    times E(chi kappa^j) is the twisted weight-k formula, once the L-value,
+    epsilon and conductor terms are traded through the functional equation.
+    """
     ring = SymCoeffs(ctx.rel)
     thetas = char_table(data.delta_group)
     want = {t.exponents for t in thetas}
@@ -1181,59 +1177,3 @@ def twist_unit_evaluation(ctx: RatioContext, data: TwistUnitData, E: Measure,
         total = total + c * SymExpr(ctx.rel, chi_gamma.value(x)) * \
             SymExpr(ctx.rel, kappa_on_sigma_inv ** j)
     return total
-
-
-def twist_unit_expected(ctx: RatioContext, data: TwistUnitData,
-                        theta_exponents: tuple, chi_gamma: GroupChar,
-                        j: int) -> SymExpr:
-    """The displayed evaluation: i^(1-k) times the psi-convention product,
-    expanded as i^(1-k) i^(k-1) chibar_Gamma(sigma) N^(j-1) epsQ(theta)."""
-    rec = next(r for r in data.records if r.theta_exponents == theta_exponents)
-    rel = ctx.rel
-    return (
-        SymExpr.sym(I_UNIT, 1 - ctx.k, rel)
-        * SymExpr.sym(I_UNIT, ctx.k - 1, rel)
-        * rec.gamma_value(ctx, chi_gamma)
-        * SymExpr(rel, Fraction(rec.norm) ** (j - 1))
-        * SymExpr.sym(rec.epsq_atom(ctx), 1, rel)
-    )
-
-
-def check_twist_reproduces_variant(ctx: RatioContext, data: TwistUnitData,
-                                   eval_idx: int, theta_exponents: tuple,
-                                   chi_gamma: GroupChar, j: int) -> bool:
-    """Twisting the direct weight-k formula by E yields the twisted variant.
-
-    Uses the functional-equation rewrite: the direct formula times the E
-    evaluation must reduce to the twisted formula once the L-series, epsilon
-    and conductor terms are traded through the functional equation.
-    """
-    rel = ctx.rel
-    k = ctx.k
-    chibar = ctx.inv_idx(eval_idx)
-    f_p_bar = ctx.f_place(chibar, "p")
-    f_pb_bar = ctx.f_place(chibar, "pbar")
-    rec = next(r for r in data.records if r.theta_exponents == theta_exponents)
-    # functional equation, solved for the direct-side combination:
-    # L(psibar chi, k-1+j) e_p(chibar) (w/p)^f p^(jf)
-    #   = GammaRatio * A^-1 * L(psi chibar, 1-j) e_pb(chi) u^(-fbar) p^(-jf)
-    # with A the prime-to-p adelic constant product, which theta-splits as
-    # i^(k-1) chibar_Gamma(sigma) N^(j-1) epsQ(theta).
-    a_split = (rec.gamma_value(ctx, chi_gamma)
-               * SymExpr(rel, Fraction(rec.norm) ** (j - 1))
-               * SymExpr.sym(rec.epsq_atom(ctx), 1, rel))
-    fe_lhs = (ctx.L_atom("psibar", eval_idx, f"{k - 1 + j}", imprimitive=False)
-              * ctx.eps_atom("p", chibar)
-              * SymExpr(rel, 1, {W: f_p_bar, P: (j - 1) * f_p_bar}))
-    fe_rhs = (gamma_ratio(k, j, rel)
-              * a_split.inverse()
-              * ctx.L_atom("psi", chibar, f"{1 - j}", imprimitive=False)
-              * ctx.eps_atom("pb", eval_idx)
-              * SymExpr(rel, 1, {U: -f_pb_bar, P: -j * f_p_bar}))
-    direct = build_char_interpolation_rhs(ctx, eval_idx, "weightk-1", j)
-    e_value = twist_unit_evaluation(ctx, data, build_twist_unit(ctx, data),
-                                    theta_exponents, chi_gamma, j)
-    twisted = build_char_interpolation_rhs(ctx, eval_idx, "weightk-2", j)
-    # substitute the FE into the direct side: direct * E = twisted
-    lhs = direct * e_value / fe_lhs * fe_rhs
-    return lhs == twisted

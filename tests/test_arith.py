@@ -60,6 +60,28 @@ def test_division_by_zero():
         CycloNumber.from_rational(0, 5).inverse()
 
 
+def test_binary_floats_are_refused_and_exact_inputs_read_as_before():
+    from iwasawalab.symratio import Relation, SymExpr
+
+    ring = padic_ring_for_conductor(5, 1, 6)
+    readers = [
+        lambda x: CycloNumber.from_rational(x),
+        lambda x: CycloNumber(5, [x, 0, 1, 0]),
+        lambda x: SymExpr(Relation(), x),
+        lambda x: SymExpr.poly({(): x, (("u", 1),): 1}),
+        lambda x: ring.from_fraction(x),
+        lambda x: QuadFieldElem.rational(7, x),
+        lambda x: QuadFieldElem(7, 1, x),
+    ]
+    for read in readers:
+        with pytest.raises(TypeError, match="binary float 0.1 "):
+            read(0.1)
+        assert read(F(1, 3)) == read("1/3") and read(F(-2)) == read(-2) == read("-2")
+    assert CycloNumber.from_rational("1/3").rational_value() == F(1, 3)
+    assert SymExpr(Relation(), "1/3").render() == "1/3"
+    assert ring.from_fraction("1/3") * 3 == ring.from_int(1)
+
+
 def test_conductor_overflow():
     with pytest.raises(ArithError):
         zeta(7) * zeta(2003)  # merged conductor beyond the configured bound
