@@ -677,10 +677,14 @@ class PadicRing:
     of zeta-power multiples (root_sum, the Fourier transform) place each
     beta-block in p^k slots of Z[x]/(x^{p^k} - 1), written twice
     in a row (_rotation_pack), so multiplying by zeta^s is a rotation
-    (_doubled_sums), and _rotation_unpack reduces the result once.  A slot
-    has as many bytes as the largest sum it receives needs: (summands) *
-    (p^N - 1)^2 for a product, (terms) * (p^N - 1) for a sum of rotations,
-    so no carry crosses a slot.
+    (_doubled_sums), and _rotation_lower reduces the result once, on whole
+    integers: a fold mod Phi_{p^k} that adds a bias T, a multiple of p^N,
+    to every slot, then Barrett's remainder mod p^N on every slot at once.
+    A product slot has as many bytes as (summands) * (p^N - 1)^2 needs.  A
+    rotation slot is a whole number of 64-bit words: the first width whose
+    Barrett exponent k (the largest with k + bitlen(floor(2^k / p^N)) + 1
+    bits fitting the slot) leaves a bias T >= (terms) * (p^N - 1) with
+    2T < 2^k (_barrett, _rotation_width).  So no carry crosses a slot.
 
     The ring owns the fixed embedding Q(zeta_m) -> ring (roots_of_unity),
     which is the choice of a prime above p: root_sum and embed_cyclo_padic
@@ -724,6 +728,7 @@ class PadicRing:
         self._frob_image = None
         self._teich_gen = None
         self._roots: dict[int, tuple] = {}
+        self._lowers: dict[tuple[int, int], tuple] = {}
 
     # -- descriptor ------------------------------------------------------
 
@@ -934,36 +939,101 @@ class PadicRing:
         return out
 
     def _fold_cyclic(self, a) -> list[int]:
-        """Coordinates of one block of Z[x]/(x^{p^k} - 1): mod Phi_{p^k},
-        x^(e+r) = -sum_t x^(r + t p^(k-1)), so coordinate j is
+        """Coordinates of one block of Z[x]/(x^{p^k} - 1), p^k > 1: mod
+        Phi_{p^k}, x^(e+r) = -sum_t x^(r + t p^(k-1)), so coordinate j is
         a[j] - a[e + j mod p^(k-1)], reduced mod p^N."""
         pN = self.pN
-        if self.eisenstein_pk == 1:
-            return [a[0] % pN]
         return [(x - y) % pN for x, y in zip(a, a[self.e:] * (self.p - 1))]
 
-    def _rotation_unpack(self, n: int, width: int) -> tuple[int, ...]:
-        """Coordinates of a sum of rotated _rotation_pack integers: slots [0, p^k)
-        of each doubled block hold the block in Z[x]/(x^{p^k} - 1), which
-        _fold_cyclic reduces."""
-        pk = self.eisenstein_pk
+    def _barrett(self, width: int) -> tuple[int, int, int]:
+        """(k, M, T) for width-byte slots: M = floor(2^k / p^N) with k the
+        largest exponent for which k + bitlen(M) + 1 <= the slot's bits, and
+        the bias T the largest multiple of p^N with 2T < 2^k."""
+        pN = self.pN
+        k = (8 * width + pN.bit_length() - 2) // 2
+        return k, (1 << k) // pN, pN * ((1 << k - 1) // pN)
+
+    def _rotation_width(self, terms: int) -> int:
+        """Bytes per slot, a multiple of 8, for sums of at most `terms`
+        rotated values: the first whose bias T covers terms * (p^N - 1)."""
+        bound = terms * (self.pN - 1)
+        width = 8
+        while self._barrett(width)[2] < bound:
+            width += 8
+        return width
+
+    def _lower_constants(self, width: int, blocks: int) -> tuple:
+        """(low, high, copies, bias, k, M, qmask, half, ones) for
+        _rotation_lower on `blocks` doubled blocks of width-byte slots, kept
+        per (width, blocks).
+
+        ones has a 1 in each of the e low slots of every block; low and
+        qmask fill those slots with the slot's bits and bitlen(M) bits, bias
+        with T and half with 2^(slot-1) - p^N.  high fills the p^(k-1) low
+        slots of every block, and copies holds the p - 2 shifts, by
+        t p^(k-1) slots, that repeat them over the e low slots.
+        """
+        key = (width, blocks)
+        consts = self._lowers.get(key)
+        if consts is None:
+            e, pk, p = self.e, self.eisenstein_pk, self.p
+            slot = 8 * width
+            fill = (1 << slot) - 1
+            k, M, T = self._barrett(width)
+
+            def per_block(count):
+                row = sum(1 << slot * j for j in range(count))
+                return sum(row << 2 * pk * slot * b for b in range(blocks))
+
+            ones = per_block(e)
+            hq = pk // p
+            consts = self._lowers[key] = (
+                fill * ones, fill * per_block(hq), tuple(slot * hq * t for t in range(1, p - 1)),
+                T * ones, k, M, ((1 << M.bit_length()) - 1) * ones,
+                ((1 << slot - 1) - self.pN) * ones, ones)
+        return consts
+
+    def _rotation_lower(self, x: int, width: int) -> "PadicNumber":
+        """The element held by a sum of rotated _rotation_pack integers, on
+        whole integers: slots [0, p^k) of each doubled block hold the block
+        in Z[x]/(x^{p^k} - 1).
+
+        Fold: z = a[j] + T - a[e + j mod p^(k-1)] in slot j < e of every block
+        (none for p^k = 1), in [0, 2T) and congruent to coordinate j mod p^N.
+        Barrett: q = (z M) >> k is floor(z / p^N) or one less, so
+        r = z - q p^N lies in [0, 2 p^N); the top bit of r + 2^(slot-1) - p^N
+        marks the slots where p^N is subtracted once more.  Only the e low
+        slots of each block are read.
+        """
+        pk, e = self.eisenstein_pk, self.e
         span = 2 * pk
-        blocks = -(-n.bit_length() // (8 * width * span))
-        vals = _unpack(n, span * blocks, width)
-        out = []
+        slot = 8 * width
+        blocks = -(-x.bit_length() // (slot * span))
+        if not blocks:
+            return self.zero()
+        low, high, copies, bias, k, M, qmask, half, ones = self._lower_constants(width, blocks)
+        z = x & low
+        if pk > 1:
+            h = x >> slot * e & high
+            z += bias - reduce(or_, map(h.__lshift__, copies), h)
+        pN = self.pN
+        r = z - ((z * M >> k) & qmask) * pN
+        r -= ((r + half) >> slot - 1 & ones) * pN
+        vals = _unpack(r, span * (blocks - 1) + e, width)
+        out: list[int] = []
         for base in range(0, len(vals), span):
-            out += self._fold_cyclic(vals[base:base + pk])
-        return tuple(out) + (0,) * (self.dim - len(out))
+            out += vals[base:base + e]
+        return PadicNumber(self, tuple(out) + (0,) * (self.dim - len(out)))
 
     def _rotation_lift(self, values, terms: int) -> tuple:
         """(forms, sums, lower) for sums of at most `terms` zeta-power
         multiples of values: their _rotation_pack forms, the rotation sums of
         _doubled_sums on p^k slots, and lower(forms), the elements of such
-        sums, one _rotation_unpack each."""
-        width = _slot_width(terms * (self.pN - 1))
+        sums, one _rotation_lower each."""
+        width = self._rotation_width(terms)
 
         def lower(forms):
-            return [PadicNumber(self, self._rotation_unpack(x, width)) for x in forms]
+            return [self._rotation_lower(x, width) for x in forms]
 
         return (self._rotation_pack([x.coords for x in values], width),
                 _doubled_sums(self.eisenstein_pk, width, self.unram_degree), lower)

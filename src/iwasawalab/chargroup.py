@@ -53,6 +53,8 @@ class FinAbGroup:
     `conductor_exponent` reads a table keyed by (place, character
     exponents) and filled on first use, so it holds at most one entry per
     declared chain and character; `add_inertia_chain` empties it.
+    `char_table` keeps the characters on the group object that they carry,
+    built on first use.
     """
 
     def __init__(self, orders, name: str = ""):
@@ -64,6 +66,7 @@ class FinAbGroup:
         self.subgroups: dict[str, frozenset[Element]] = {}
         self.inertia: dict[str, list[frozenset[Element]]] = {}
         self._conductors: dict[tuple[str, Element], int] = {}
+        self._chars: tuple[GroupChar, ...] | None = None
         self.gamma_quotient: GroupHom | None = None
         self.galois_actions: dict[str, GaloisAction] = {}
 
@@ -210,11 +213,15 @@ class GroupChar:
 
 
 def char_table(group: FinAbGroup) -> list[GroupChar]:
-    """All |G| characters, in lexicographic exponent order (stable indexing)."""
-    out = [()]
-    for n in group.orders:
-        out = [e + (x,) for e in out for x in range(n)]
-    return [GroupChar(group, tuple(e)) for e in out]
+    """All |G| characters, in lexicographic exponent order (stable indexing),
+    as a fresh list; the characters are built once per group object."""
+    chars = group._chars
+    if chars is None:
+        out = [()]
+        for n in group.orders:
+            out = [e + (x,) for e in out for x in range(n)]
+        chars = group._chars = tuple(GroupChar(group, e) for e in out)
+    return list(chars)
 
 
 def conductor_exponent(chi: GroupChar, place: str) -> int:

@@ -157,7 +157,7 @@ class _CoeffAdapter:
       vector, so lower subtracts terms * bias per slot, then reduces mod
       Phi_M and builds the canonical CycloNumber once per output.
     * PadicCoeffs packs the axes whose order divides p^k: each beta-block in
-      Z[X]/(X^{p^k} - 1), lowered by PadicRing._rotation_unpack.  An axis of
+      Z[X]/(X^{p^k} - 1), lowered by PadicRing._rotation_lower.  An axis of
       prime-to-p order n runs on ring elements through PadicRing.root_sum,
       one product by one of the n Teichmueller images of mu_n per term.
     * SymCoeffs takes the defaults here: every axis on ring elements.
@@ -923,6 +923,9 @@ def fourier_invert(values: dict[GroupChar, object], group: FinAbGroup, ring) -> 
         out_ring = ring
         out = {}
         for g, t in raw.items():
+            # a zero sum is divisible and leaves the support
+            if t.is_zero():
+                continue
             if m != 1:
                 t = t * inv_m
             if k:

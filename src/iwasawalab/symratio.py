@@ -252,7 +252,8 @@ class SymExpr:
     # -- arithmetic ------------------------------------------------------------
 
     def _chk(self, other: "SymExpr"):
-        if self.rel != other.rel:
+        # relations are few and shared: identity settles almost every call
+        if self.rel is not other.rel and self.rel != other.rel:
             raise SymError(f"relation mismatch: {self.rel} vs {other.rel}")
 
     def __mul__(self, other):

@@ -19,6 +19,7 @@ from iwasawalab.arith import (
     PadicRing,
     QuadFieldElem,
     _accumulate_roots,
+    _unpack,
     cyclotomic_poly,
     embed_cyclo_padic,
     euler_phi,
@@ -332,6 +333,59 @@ def test_mul_zeta_power_is_multiplication_by_zeta_power(p, N, f, pk):
     z = ring.zeta_gen()
     for s in range(pk):
         assert ring.root_sum([x], pk, [s]) == x * z ** s
+
+
+def _naive_lower(ring, n, width):
+    """Coordinates of a sum of rotated packed values, one coordinate at a
+    time: every slot unpacked, then each block of Z[x]/(x^{p^k} - 1) folded
+    mod Phi_{p^k} and reduced mod p^N by _fold_cyclic (for p^k = 1, the
+    block's one slot reduced mod p^N)."""
+    pk = ring.eisenstein_pk
+    span = 2 * pk
+    blocks = -(-n.bit_length() // (8 * width * span))
+    vals = _unpack(n, span * blocks, width)
+    out = []
+    for base in range(0, len(vals), span):
+        out += ring._fold_cyclic(vals[base:base + pk]) if pk > 1 else [vals[base] % ring.pN]
+    return tuple(out) + (0,) * (ring.dim - len(out))
+
+
+@pytest.mark.parametrize("N", [1, 6, 15, 40])  # N = 40: slots wider than 64 bits
+@pytest.mark.parametrize("f", [1, 2, 4])
+@pytest.mark.parametrize("pk", [1, 5, 25, 125])
+def test_packed_lower_matches_the_per_coordinate_fold(pk, f, N):
+    ring = PadicRing(5, N, f, pk)
+    rng = random.Random(pk * 1000 + f * 100 + N)
+    top = ring.from_coords([ring.pN - 1] * ring.dim)  # every slot at its bound
+    for terms in (1, 6, max(pk, 2)):
+        width = ring._rotation_width(terms)
+        randoms = [ring.from_coords([rng.randrange(ring.pN) for _ in range(ring.dim)])
+                   for _ in range(terms)]
+        for values in ([top] * terms, randoms, randoms[:1], []):
+            forms, sums, lower = ring._rotation_lift(values, terms)
+            for _ in range(3):
+                x = sum(sums(pk)([forms], [[rng.randrange(pk) for _ in forms]]))
+                assert lower([x])[0].coords == _naive_lower(ring, x, width)
+
+
+def test_mul_by_root_builds_the_lower_constants_once(monkeypatch):
+    ring = PadicRing(5, 7, 2, 25)
+    built = []
+
+    class Counted(dict):
+        def __setitem__(self, key, value):
+            built.append(key)
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(ring, "_lowers", Counted())
+    coeffs = PadicCoeffs(ring)
+    x = ring.from_coords(range(1, ring.dim + 1))
+    z = ring.zeta_gen()
+    for k in range(100):
+        y = coeffs.mul_by_root(x, 25, k)
+        if k % 25 < 3:
+            assert y == x * z ** (k % 25)
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,29 @@ def test_char_table_z2():
     assert values == [-1, 1]
 
 
+def test_char_table_builds_the_characters_once_per_group(monkeypatch):
+    built = []
+    post_init = GroupChar.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(GroupChar, "__post_init__", counted)
+    g = FinAbGroup((4, 5))
+    first = char_table(g)
+    assert len(built) == 20
+    second = char_table(g)
+    assert len(built) == 20
+    assert second == first and second is not first
+    second.pop()
+    assert len(char_table(g)) == 20
+    # an equal group object gets characters that carry it
+    other = FinAbGroup((4, 5))
+    assert char_table(other) == first and len(built) == 40
+    assert all(chi.group is other for chi in char_table(other))
+
+
 def test_orthogonality_z5_direct_summation():
     g = FinAbGroup((5,))
     table = char_table(g)

@@ -60,12 +60,15 @@ REPO = Path(__file__).resolve().parent.parent
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _references(tree: ast.Module) -> set[str]:
+def _references(tree: ast.Module, skip=frozenset()) -> set[str]:
     """Names read (as a name or an attribute) anywhere in the module, except
-    a top-level definition's references to itself inside its own body."""
+    a top-level definition's references to itself inside its own body and
+    anything inside the top-level definitions named in skip."""
     used: set[str] = set()
     for top in tree.body:
         own = top.name if isinstance(top, DEFS) else None
+        if own in skip:
+            continue
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
                 name = node.id
@@ -104,9 +107,27 @@ def test_scan_flags_an_unreferenced_definition():
 def _test_only_definitions(package: dict[str, str], others: list[str],
                            tests: list[str]) -> list[str]:
     """module.name for each top-level function or class of the package that
-    the test sources reference and no other source (package or other) does."""
-    return sorted(set(_unreferenced_definitions(package, others))
-                  - set(_unreferenced_definitions(package, others + tests)))
+    some source references and no other source (package or other) does,
+    except from inside definitions already found to be test-only.  The scan
+    repeats, leaving those bodies out, until it finds no more: a definition
+    whose only library readers are test-only is test-only too."""
+    trees = {mod: ast.parse(src) for mod, src in package.items()}
+    outside: set[str] = set()
+    for src in others:
+        outside |= _references(ast.parse(src))
+    referenced = set(outside)
+    for tree in list(trees.values()) + [ast.parse(src) for src in tests]:
+        referenced |= _references(tree)
+    found: set[tuple[str, str]] = set()
+    while True:
+        used = set(outside)
+        for mod, tree in trees.items():
+            used |= _references(tree, {name for m, name in found if m == mod})
+        now = {(mod, node.name) for mod, tree in trees.items() for node in tree.body
+               if isinstance(node, DEFS) and node.name in referenced - used}
+        if now == found:
+            return sorted(f"{mod}.{name}" for mod, name in found)
+        found = now
 
 
 def test_scan_flags_a_test_only_definition():
@@ -117,6 +138,23 @@ def test_scan_flags_a_test_only_definition():
     test = "from m import checked, lib\nassert checked() == lib()\n"
     assert _test_only_definitions(package, [bench], [test]) == ["m.checked"]
     assert _test_only_definitions(package, [bench, "m.checked()\n"], [test]) == []
+
+
+def test_scan_follows_readers_that_are_themselves_test_only():
+    package = {"m": ("def lib():\n    return shared()\n"
+                     "def shared():\n    return 1\n"
+                     "def helper():\n    return 2\n"
+                     "def inner():\n    return helper()\n"
+                     "def checked():\n    return inner() + shared()\n")}
+    bench = "from m import lib\nlib()\n"
+    test = "from m import checked\nassert checked() == 3\n"
+    # helper and inner are read only by checked, which only the tests read
+    assert _test_only_definitions(package, [bench], [test]) == [
+        "m.checked", "m.helper", "m.inner"]
+    # negative control: a library reader outside that chain keeps helper
+    # (and only helper) out of the list
+    assert _test_only_definitions(package, [bench, "m.helper()\n"], [test]) == [
+        "m.checked", "m.inner"]
 
 
 def _package() -> dict[str, str]:
@@ -137,11 +175,17 @@ def test_every_definition_is_referenced():
 # or is deleted; no new definition joins it.  The twist-unit pair joined when
 # the twist identity, their one library caller, moved into the tests as a
 # reference: they are the code that identity checks, and no suite runs it.
+# ThetaRecord and TwistUnitData, the data that pair reads, joined when the
+# scan became transitive.  The four are the twist-unit block of ROADMAP
+# Direction 5: they leave together, when a suite reaches the twist unit or
+# the block moves into the tests.
 TEST_ONLY = [
     "epsilon.inductivity_split",
     "grpring.Tower",
     "reps.inner_product",
     "reps.inner_product_with_char",
+    "symratio.ThetaRecord",
+    "symratio.TwistUnitData",
     "symratio.build_twist_unit",
     "symratio.twist_unit_evaluation",
 ]

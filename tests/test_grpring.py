@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import iwasawalab.grpring as grpring
-from iwasawalab.arith import PadicRing, padic_ring_for_conductor, padic_sqrt
+from iwasawalab.arith import PadicNumber, PadicRing, padic_ring_for_conductor, padic_sqrt
 from iwasawalab.chargroup import (
     FinAbGroup,
     GroupAutomorphism,
@@ -266,6 +266,28 @@ def test_fourier_roundtrip_z125_unramified_degree_4():
     back = fourier_invert(eval_all_chars(f), g, coeffs)
     assert back.ring.ring.precision == 12
     assert back == f
+
+
+def test_fourier_invert_divides_only_the_nonzero_sums(monkeypatch):
+    # a 6-point level-125 measure: 119 of its 125 inverse sums are zero
+    ring = PadicRing(5, 15, 4, 125)
+    coeffs = PadicCoeffs(ring)
+    g = FinAbGroup((125,))
+    rng = random.Random(35)
+    f = Measure(g, coeffs, {(x,): ring.from_int(1 + rng.randrange(625))
+                            for x in rng.sample(range(125), 6)})
+    values = eval_all_chars(f)
+    calls = []
+    divide = PadicNumber.divide_exact_p_power
+
+    def counted(self, k):
+        calls.append(k)
+        return divide(self, k)
+
+    monkeypatch.setattr(PadicNumber, "divide_exact_p_power", counted)
+    back = fourier_invert(values, g, coeffs)
+    assert calls == [3] * 6
+    assert back.ring.ring.precision == 12 and back == f
 
 
 @pytest.mark.parametrize("ring, orders", [

@@ -138,6 +138,19 @@ def test_addition_and_cancellation():
     assert (a - a).is_zero()
 
 
+def test_equal_relations_combine_and_mismatched_ones_raise():
+    # _chk tests identity first; an equal but distinct Relation must still pass
+    r, same = Relation(3), Relation(3)
+    assert r is not same
+    a, b = SymExpr.sym("a", 1, r), SymExpr.sym("b", 1, same)
+    assert (a * b).rel == r and (a + b) - b == a
+    assert a / b == SymExpr.sym("a", 1, r) / SymExpr.sym("b", 1, r)
+    other = SymExpr.sym("b", 1, Relation(3, False))
+    for op in (lambda x, y: x * y, lambda x, y: x + y, lambda x, y: x / y):
+        with pytest.raises(SymError):
+            op(a, other)
+
+
 def test_zero_denominator_rejected():
     r = Relation()
     z = SymExpr(r, 0)
