@@ -314,25 +314,34 @@ def _unpack(n: int, count: int, width: int) -> list[int]:
     return out
 
 
-def _doubled_sums(length: int, width: int, blocks: int):
-    """sums(n) for packed values, each with up to `blocks` blocks of
+class _DoubledSums:
+    """Rotations of packed values, each with up to `blocks` blocks of
     Z[X]/(X^length - 1) in width-byte slots (slot 0 lowest), every block
-    written twice in a row (doubled):
-    sums(n)(cols, exps)[q] = sum_j cols[j][q] * X^(exps[j][q] length / n),
-    in the same layout.
+    written twice in a row (doubled).
 
-    A right shift by length - s slots leaves x * X^s in the low half of every
-    block; the shifted terms are added, one mask keeps the low halves and one
-    left shift doubles them again.  Slots are never negative and a rotation
-    only moves them, so no carry crosses a slot while the sums fit the width.
+    shifts(n)[t] is the right shift, by length - t length / n slots, that
+    leaves x * X^(t length / n) in the low half of every block of x; the
+    high halves then hold what is left of the copies, which a reader of the
+    low halves ignores.  sums(n) = this object called with n, for the
+    transform: sums(n)(cols, exps)[q] = sum_j cols[j][q] * X^(exps[j][q] length / n),
+    in the doubled layout: the shifted terms are added, one mask keeps the
+    low halves and one left shift doubles them again.  Slots are never
+    negative and a rotation only moves them, so no carry crosses a slot
+    while the sums fit the width.
     """
-    slot = 8 * width
-    bits = slot * length
-    low = ((1 << bits) - 1) * sum(1 << 2 * bits * b for b in range(blocks))
 
-    def sums(n: int):
-        step = length // n
-        shifts = [bits - slot * (t * step) for t in range(n)]
+    def __init__(self, length: int, width: int, blocks: int):
+        self.length = length
+        self.slot = 8 * width
+        self.bits = self.slot * length
+        self.low = ((1 << self.bits) - 1) * sum(1 << 2 * self.bits * b for b in range(blocks))
+
+    def shifts(self, n: int) -> list[int]:
+        step = self.length // n
+        return [self.bits - self.slot * (t * step) for t in range(n)]
+
+    def __call__(self, n: int):
+        shifts, low, bits = self.shifts(n), self.low, self.bits
 
         def rotate_sums(cols, exps):
             terms = [map(rshift, col, map(shifts.__getitem__, ts))
@@ -341,8 +350,6 @@ def _doubled_sums(length: int, width: int, blocks: int):
             return list(map(or_, ys, map(lshift, ys, repeat(bits))))
 
         return rotate_sums
-
-    return sums
 
 
 def _check_conductor(m: int) -> None:
@@ -677,7 +684,7 @@ class PadicRing:
     of zeta-power multiples (root_sum, the Fourier transform) place each
     beta-block in p^k slots of Z[x]/(x^{p^k} - 1), written twice
     in a row (_rotation_pack), so multiplying by zeta^s is a rotation
-    (_doubled_sums), and _rotation_lower reduces the result once, on whole
+    (_DoubledSums), and _rotation_lower reduces the result once, on whole
     integers: a fold mod Phi_{p^k} that adds a bias T, a multiple of p^N,
     to every slot, then Barrett's remainder mod p^N on every slot at once.
     A product slot has as many bytes as (summands) * (p^N - 1)^2 needs.  A
@@ -917,7 +924,7 @@ class PadicRing:
     def _rotation_pack(self, vectors, width: int) -> list[int]:
         """Each coordinate vector with its beta-blocks, each padded to the p^k
         slots of Z[x]/(x^{p^k} - 1) and doubled (trailing zero blocks
-        dropped), as _doubled_sums rotates them."""
+        dropped), as _DoubledSums rotates them."""
         e, pk = self.e, self.eisenstein_pk
         pad = [0] * (pk - e)
         slots: list[int] = []
@@ -1028,15 +1035,15 @@ class PadicRing:
     def _rotation_lift(self, values, terms: int) -> tuple:
         """(forms, sums, lower) for sums of at most `terms` zeta-power
         multiples of values: their _rotation_pack forms, the rotation sums of
-        _doubled_sums on p^k slots, and lower(forms), the elements of such
+        _DoubledSums on p^k slots, and lower(forms), the elements of such
         sums, one _rotation_lower each."""
         width = self._rotation_width(terms)
 
-        def lower(forms):
+        def lower(forms, counts=None):
             return [self._rotation_lower(x, width) for x in forms]
 
         return (self._rotation_pack([x.coords for x in values], width),
-                _doubled_sums(self.eisenstein_pk, width, self.unram_degree), lower)
+                _DoubledSums(self.eisenstein_pk, width, self.unram_degree), lower)
 
     def root_sum(self, values, m: int, exps) -> "PadicNumber":
         """sum_i values[i] * zeta_m^exps[i], zeta_m placed by roots_of_unity.
@@ -1052,13 +1059,11 @@ class PadicRing:
             parts = zip((k * v % mq for k in exps), values)
         else:
             forms, sums, lower = self._rotation_lift(values, len(values))
-            rotate_sums = sums(mp)
-            groups: dict[int, tuple[list, list]] = {}
+            shifts = sums.shifts(mp)
+            groups: dict[int, list] = {}
             for x, k in zip(forms, exps):
-                xs, ts = groups.setdefault(k * v % mq, ([], []))
-                xs.append(x)
-                ts.append(k * u % mp)
-            parts = zip(groups, lower([sum(rotate_sums([xs], [ts])) for xs, ts in groups.values()]))
+                groups.setdefault(k * v % mq, []).append(x >> shifts[k * u % mp])
+            parts = zip(groups, lower(list(map(sum, groups.values()))))
         terms = [y * images[a] if a else y for a, y in parts]
         return reduce(add, terms) if terms else self.zero()
 

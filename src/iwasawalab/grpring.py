@@ -9,29 +9,32 @@ by pushforwards model inverse-limit elements.
 Coefficient-ring adapter contract: zero, one, from_int, from_fraction,
 from_cyclo, is_zero, inv, mul_by_root(x, m, k) = x * zeta_m^k,
 root_sum(coeffs, m, exps) = sum_i coeffs[i] * zeta_m^exps[i], and the
-transform forms of _CoeffAdapter (packs, sums, lift).  Over p-adic
+packed forms of _CoeffAdapter (packs, sums, lift).  Over p-adic
 coefficients the ring places zeta_m (PadicRing.roots_of_unity, the choice of
-a prime above p) and takes the root sums (PadicRing.root_sum).  Two kernels
-sum roots of unity:
+a prime above p) and takes the root sums (PadicRing.root_sum).  Every sum of
+roots of unity runs on values lifted to Z[X]/(X^M - 1) and packed into one
+integer each, where zeta_M^s is a rotation (Nussbaumer's polynomial
+transform), whenever the ring packs the order at hand:
 
 * the Fourier transform (_transform), for the operations that need every
   character: fourier_invert and eval_all_chars over the whole group,
   idempotent_split and assemble_from_components over the Delta axes.  It
   runs one axis at a time, each split by Cooley-Tukey over the prime
-  factors of its order, on values lifted to Z[X]/(X^M - 1) and packed into
-  one integer each, where zeta_M^s is a rotation (Nussbaumer's polynomial
-  transform); each output is reduced once.
-* root_sum, for the operations that need one character: eval_char, twist
-  and build_theta_component.  The cyclotomic adapter scales every
-  coefficient to one common denominator, adds each term's integer
-  coordinates into slots indexed by the exponent of zeta and reduces the
-  sum once through the zeta-power table; PadicRing.root_sum sums rotations
-  of the packed coefficients and multiplies once per prime-to-p root.
+  factors of its order, on the lifted values; each output is lowered once.
+* the one-character operations eval_char, twist and build_theta_component
+  (_character_sums).  When the ring packs the group exponent (every
+  cyclotomic measure, and p-adic measures on p-groups) a measure lifts its
+  coefficients once, on first use, and keeps the forms (Measure._lifted):
+  each sum is one right shift per point and one addition, and all the sums
+  of a call are lowered at once.  Otherwise each sum is one root_sum.
 
-One character is |G| terms through root_sum; through the transform it
-would cost |G| times the sum of the prime factors and a reduction per
-character, so the split is by operation, not by size.  The exponents k of
-chi(g) = zeta_m^k are tabulated once per character.
+The cyclotomic lower reduces mod Phi_M on the whole integer: the reduction
+rows of X^k (k >= phi(M)) are grouped by distance and coefficient, one mask
+and one shift per group (_cyclo_fold), and only the phi(M) low slots of each
+output are read.  One character is |G| terms through the lifted forms; through
+the transform it would cost |G| times the sum of the prime factors and a
+lower per character, so the split is by operation, not by size.  The
+exponents k of chi(g) = zeta_m^k are tabulated once per character.
 
 convolve of two p-adic measures on an abelian group is one big-integer
 product: each measure is packed as a polynomial in the group axes, beta and
@@ -57,17 +60,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, product
+from itertools import product, repeat
 from math import lcm, prod
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, rshift, sub
 
 from .arith import (
     ArithError,
     CycloNumber,
     PadicNumber,
     PadicRing,
-    _accumulate_roots,
-    _doubled_sums,
+    _DoubledSums,
     _pack,
     _pack_bytes,
     _slot_width,
@@ -136,34 +138,39 @@ class _CoeffAdapter:
     """Defaults of the adapter contract for rings with no packed form.
 
     root_sum(coeffs, m, exps) returns sum_i coeffs[i] * zeta_m^exps[i]; the
-    default adds mul_by_root terms, skipping exponent 0.  The Fourier
-    transform (_transform) runs one axis of order n at a time, as stages of
-    sums rotate_sums(cols, exps)[q] = sum_j cols[j][q] * zeta_n^exps[j][q]:
+    default adds mul_by_root terms, skipping exponent 0.  A ring packs an
+    order n (packs(n)) when it can lift values to forms in which zeta_n is a
+    rotation.  lift(values, m, terms) returns (forms, sums, lower) for n | m:
+    one form per value; sums(n), a rotation table (arith._DoubledSums) whose
+    sums(n)(cols, exps)[q] = sum_j cols[j][q] * zeta_n^exps[j][q] on forms
+    and whose sums.shifts(n)[k] is the right shift that multiplies a form by
+    zeta_n^k; and lower(forms, counts), the ring elements of sums of
+    counts[i] rotated forms (of `terms` each by default), one reduction per
+    sum.  The transform (_transform) runs one axis of order n at a time:
 
     * an axis with packs(n) false runs on ring elements, through sums(n)
       below: one root_sum per output;
-    * the axes with packs(n) true run together on lifted forms.
-      lift(values, m, terms) returns (forms, sums, lower): one form per
-      value; sums(n), as above on forms (n | m), each term a rotation; and
-      lower(forms), their ring elements, one reduction per form.  Every
-      transform output is a sum of at most `terms` rotated lifted values.
+    * the axes with packs(n) true run together on lifted forms, each output
+      a sum of `terms` rotated lifted values.
+
+    The one-character operations (_character_sums) take the measure's own
+    lifted forms when the ring packs the group exponent, and root_sum
+    otherwise.
 
     Which ring uses which:
 
-    * CYCLO packs every axis.  A value is lifted to Z[X]/(X^M - 1), M the
-      lcm of m and the values' conductors, in one packed integer in which
-      X^s is a rotation (see arith._doubled_sums).  One bias is added to
-      every slot, so slots stay nonnegative; rotations fix the all-ones
-      vector, so lower subtracts terms * bias per slot, then reduces mod
-      Phi_M and builds the canonical CycloNumber once per output.
-    * PadicCoeffs packs the axes whose order divides p^k: each beta-block in
+    * CYCLO packs every order.  A value is lifted to Z[X]/(X^M - 1), M the
+      lcm of m and the values' conductors, in one packed integer.  One bias
+      is added to every slot, so slots stay nonnegative; rotations fix the
+      all-ones vector, so lower folds each sum mod Phi_M on the whole
+      integer (_cyclo_fold), takes off the fold of count * bias in every
+      slot and builds the canonical CycloNumber once per output.  root_sum
+      is one lift, one sum of shifted forms and one lower.
+    * PadicCoeffs packs the orders dividing p^k: each beta-block in
       Z[X]/(X^{p^k} - 1), lowered by PadicRing._rotation_lower.  An axis of
       prime-to-p order n runs on ring elements through PadicRing.root_sum,
       one product by one of the n Teichmueller images of mu_n per term.
-    * SymCoeffs takes the defaults here: every axis on ring elements.
-
-    eval_char, twist and build_theta_component want one character, so they
-    call root_sum (or mul_by_root) directly and never run the transform.
+    * SymCoeffs takes the defaults here: every sum on ring elements.
     """
 
     def packs(self, n):
@@ -180,6 +187,54 @@ class _CoeffAdapter:
     def root_sum(self, coeffs, m, exps):
         terms = [self.mul_by_root(c, m, k) if k else c for c, k in zip(coeffs, exps)]
         return reduce(add, terms) if terms else self.zero()
+
+
+@lru_cache(maxsize=None)
+def _fold_rows(big_m: int) -> tuple:
+    """(groups, norm) for the reduction mod Phi_M of Z[X]/(X^M - 1), M = big_m.
+
+    The rows of _zeta_table(M) for k >= phi(M) move X^k onto z X^j; groups
+    holds one (z, {d: ks}) pair per coefficient z, ks the exponents k with
+    an entry z at distance d = k - j.  norm is the largest 1 + sum |z| over
+    a column j: the fold maps coordinates in [-c, c] into [-c norm, c norm].
+    """
+    phi = euler_phi(big_m)
+    by_z: dict[int, dict[int, list]] = {}
+    column = [1] * phi
+    for k, row in enumerate(_zeta_table(big_m)[phi:], phi):
+        for j, z in row:
+            by_z.setdefault(z, {}).setdefault(k - j, []).append(k)
+            column[j] += abs(z)
+    return tuple(by_z.items()), max(column)
+
+
+@lru_cache(maxsize=32)
+def _cyclo_fold(big_m: int, width: int) -> tuple:
+    """(low, groups, unit, half): the constants of _CycloCoeffs.lift's lower
+    at conductor M = big_m in width-byte slots, kept per (M, width).
+
+    fold(x) = (x & low) + sum over (z, masks, shifts) in groups of
+    z * sum over i of ((x & masks[i]) >> shifts[i]) reduces the slots [0, M)
+    of x mod Phi_M on the whole integer: low keeps the phi(M) low slots, a
+    mask the slots k of one (d, z) group of _fold_rows, which its shift
+    moves down d slots.  unit = fold(1 in every slot), which is 0 for
+    M > 1 (the M-th roots of unity sum to 0) and 1 at M = 1; half holds
+    2^(slot-1) in every low slot.
+    """
+    slot = 8 * width
+    fill = (1 << slot) - 1
+    phi = euler_phi(big_m)
+
+    def ones(ks):
+        return sum(1 << slot * k for k in ks)
+
+    groups = tuple((z, tuple(fill * ones(ks) for ks in ds.values()),
+                    tuple(slot * d for d in ds)) for z, ds in _fold_rows(big_m)[0])
+    low = fill * ones(range(phi))
+    every = ones(range(big_m))
+    unit = (every & low) + sum(z * sum(map(rshift, map(every.__and__, masks), shifts))
+                               for z, masks, shifts in groups)
+    return low, groups, unit, (1 << slot - 1) * ones(range(phi))
 
 
 class _CycloCoeffs(_CoeffAdapter):
@@ -225,57 +280,50 @@ class _CycloCoeffs(_CoeffAdapter):
     def lift(self, values, m, terms):
         big_m, den, ints = self._common(values, m)
         # slot lift * i of a value of conductor c.m holds coordinate i; every
-        # slot carries the bias, which rotations leave in place, so slots stay
-        # in [0, 2 * terms * bias] through the transform
-        bias = max(map(abs, chain.from_iterable(ints)))
-        width = _slot_width(2 * terms * bias)
-        # each value's block written twice in a row, as _doubled_sums rotates it
-        span = 2 * big_m
-        slots = [bias] * (span * len(values))
-        for start, vec, c in zip(range(0, len(slots), span), ints, values):
+        # slot carries the bias, which rotations leave in place, so a sum of
+        # `count` rotated forms has slots in [0, 2 * count * bias]; after the
+        # fold a coordinate is at most count * bias * norm in size, read
+        # signed: one more bit
+        bias = max(max(map(max, ints)), -min(map(min, ints)))
+        width = _slot_width(2 * terms * bias * _fold_rows(big_m)[1])
+        slots = [bias] * (big_m * len(values))
+        for start, vec, c in zip(range(0, len(slots), big_m), ints, values):
             if any(vec):
                 lift = big_m // c.m
-                stop = lift * len(vec)
-                slots[start:start + stop:lift] = slots[start + big_m:start + big_m + stop:lift] = \
-                    [x + bias for x in vec]
+                slots[start:start + lift * len(vec):lift] = [x + bias for x in vec]
         raw = memoryview(_pack_bytes(slots, width))
-        step = width * span
-        forms = [int.from_bytes(raw[t:t + step], "little") for t in range(0, len(raw), step)]
-        size = width * big_m
-        mask = (1 << 8 * size) - 1
-        offset = terms * bias
-        table = _zeta_table(big_m)
+        step = width * big_m
+        bits = 8 * step
+        # each value's block written twice in a row, as _DoubledSums rotates it
+        forms = [x | x << bits for x in
+                 (int.from_bytes(raw[t:t + step], "little") for t in range(0, len(raw), step))]
         phi = euler_phi(big_m)
+        size = width * phi
+        top = 1 << 8 * width - 1
 
-        def lower(forms):
-            # every slot of every form in one list; column i holds the
-            # coefficients of X^i, reduced mod Phi_M for all forms at once
-            joined = b"".join((x & mask).to_bytes(size, "little") for x in forms)
-            vals = _unpack(int.from_bytes(joined, "little"), len(forms) * big_m, width)
-            cols = [[v - offset for v in vals[i::big_m]] for i in range(big_m)]
-            out = cols[:phi]
-            for col, row in zip(cols[phi:], table[phi:]):
-                for j, z in row:
-                    out[j] = [a + z * b for a, b in zip(out[j], col)]
-            return [CycloNumber._from_ints(big_m, num, den) for num in zip(*out)]
+        def lower(forms, counts=None):
+            # each output folded on its own integer: fold(x) - fold(count *
+            # bias in every slot) + top in every low slot puts every
+            # coordinate in [0, 2 top); only the phi low slots are read
+            low, groups, unit, half = _cyclo_fold(big_m, width)
+            folded = []
+            for x, count in zip(forms, repeat(terms) if counts is None else counts):
+                y = (x & low) + half - count * bias * unit
+                for z, masks, shifts in groups:
+                    y += z * sum(map(rshift, map(x.__and__, masks), shifts))
+                folded.append(y.to_bytes(size, "little"))
+            vals = _unpack(int.from_bytes(b"".join(folded), "little"), phi * len(folded), width)
+            return [CycloNumber._from_ints(big_m, map(sub, vals[t:t + phi], repeat(top)), den)
+                    for t in range(0, len(vals), phi)]
 
-        return forms, _doubled_sums(big_m, width, 1), lower
+        return forms, _DoubledSums(big_m, width, 1), lower
 
     def root_sum(self, coeffs, m, exps):
-        big_m, den, ints = self._common(coeffs, m)
-        step = big_m // m
-        # coordinate i of a term is zeta_big_m^(lift*i + step*k), an exponent
-        # below 2*big_m (lift * phi(c.m) <= big_m): one strided slice per term,
-        # then one pass of the kernel
-        slots = [0] * (2 * big_m)
-        for vec, c, k in zip(ints, coeffs, exps):
-            lift = big_m // c.m
-            b = step * k % big_m
-            stop = b + lift * len(vec)
-            slots[b:stop:lift] = map(add, slots[b:stop:lift], vec)
-        buf = [0] * euler_phi(big_m)
-        _accumulate_roots(buf, big_m, slots)
-        return CycloNumber._from_ints(big_m, buf, den)
+        if not coeffs:
+            return self.zero()
+        forms, sums, lower = self.lift(coeffs, m, len(coeffs))
+        shifts = sums.shifts(m)
+        return lower([sum(x >> shifts[k % m] for x, k in zip(forms, exps))])[0]
 
     def __repr__(self):
         return "CYCLO"
@@ -337,24 +385,46 @@ class PadicCoeffs(_CoeffAdapter):
 class Measure:
     """Finitely supported coefficient map on a finite group.
 
-    Immutable by convention: operations return new measures.  The group is a
-    FinAbGroup (elements are tuples) or a SemidirectGroup (elements are
-    (tuple, eps) pairs).
+    Immutable by convention: operations return new measures, and nothing
+    assigns to coeffs after construction.  The group is a FinAbGroup
+    (elements are tuples) or a SemidirectGroup (elements are (tuple, eps)
+    pairs).
     """
 
     def __init__(self, group, ring, coeffs: dict):
+        if isinstance(group, FinAbGroup):
+            norm = group.normalize
+        else:
+            def norm(x):
+                return (group.base.normalize(x[0]), x[1] % 2)
+        self._set(group, ring, {norm(g): c for g, c in coeffs.items() if not ring.is_zero(c)})
+
+    @classmethod
+    def _of(cls, group, ring, coeffs: dict) -> "Measure":
+        """The measure of coeffs whose keys are already canonical elements
+        (as normalize returns them): __init__ without normalize."""
+        self = object.__new__(cls)
+        self._set(group, ring, {g: c for g, c in coeffs.items() if not ring.is_zero(c)})
+        return self
+
+    def _set(self, group, ring, coeffs: dict) -> None:
         self.group = group
         self.ring = ring
-        norm = group.normalize if isinstance(group, FinAbGroup) else self._norm_semidirect
-        cleaned = {}
-        for g, c in coeffs.items():
-            if not ring.is_zero(c):
-                cleaned[norm(g)] = c
-        self.coeffs = cleaned
+        self.coeffs = coeffs
+        self._lift = None
 
-    def _norm_semidirect(self, x):
-        g, eps = x
-        return (self.group.base.normalize(g), eps % 2)
+    def _lifted(self) -> tuple:
+        """(forms, shifts, lower) for a ring that packs the group exponent m,
+        built on first use: forms[g] is f(g) lifted by
+        ring.lift(values, m, |G|), so a slot holds any sum over the support;
+        form >> shifts[k] is f(g) * zeta_m^k; lower(sums, counts) are the
+        ring elements of sums of counts[i] such terms."""
+        if self._lift is None:
+            m = self.group.exponent()
+            forms, sums, lower = self.ring.lift(list(self.coeffs.values()), m,
+                                                self.group.order())
+            self._lift = (dict(zip(self.coeffs, forms)), sums.shifts(m), lower)
+        return self._lift
 
     # -- constructors ---------------------------------------------------------
 
@@ -388,16 +458,16 @@ class Measure:
         out = dict(self.coeffs)
         for g, c in other.coeffs.items():
             out[g] = out[g] + c if g in out else c
-        return Measure(self.group, self.ring, out)
+        return Measure._of(self.group, self.ring, out)
 
     def __neg__(self):
-        return Measure(self.group, self.ring, {g: -c for g, c in self.coeffs.items()})
+        return Measure._of(self.group, self.ring, {g: -c for g, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, s) -> "Measure":
-        return Measure(self.group, self.ring, {g: c * s for g, c in self.coeffs.items()})
+        return Measure._of(self.group, self.ring, {g: c * s for g, c in self.coeffs.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Measure):
@@ -447,6 +517,13 @@ def _char_row(orders: tuple[int, ...], exponents: tuple[int, ...]) -> tuple[int,
     return tuple(sum(map(mul, weights, g)) % m for g in group.elements())
 
 
+@lru_cache(maxsize=32)
+def _hom_row(hom: GroupHom) -> tuple:
+    """row[b] = hom.apply(g_b), b in elements() order of the source, built
+    once per homomorphism (the 32 most recent are kept)."""
+    return tuple(map(hom.apply, hom.source.elements()))
+
+
 @lru_cache(maxsize=None)
 def _conv_layout(orders: tuple[int, ...]):
     """(elements, positions, fold): the Kronecker layout of a product on
@@ -482,7 +559,7 @@ def _convolve_packed(f: Measure, g: Measure) -> Measure:
     """
     group, ring = f.group, f.ring.ring
     if not f.coeffs or not g.coeffs:
-        return Measure(group, f.ring, {})
+        return Measure._of(group, f.ring, {})
     elements, positions, fold = _conv_layout(group.orders)
     rf, cf = map(max, zip(*(ring._extent(c.coords) for c in f.coeffs.values())))
     rg, cg = map(max, zip(*(ring._extent(c.coords) for c in g.coeffs.values())))
@@ -509,7 +586,7 @@ def _convolve_packed(f: Measure, g: Measure) -> Measure:
         coords = ring._reduce_product(s, stride)
         if any(coords):
             out[x] = PadicNumber(ring, coords)
-    return Measure(group, f.ring, out)
+    return Measure._of(group, f.ring, out)
 
 
 def convolve(f: Measure, g: Measure) -> Measure:
@@ -528,16 +605,36 @@ def convolve(f: Measure, g: Measure) -> Measure:
     return Measure(group, f.ring, out)
 
 
+def _character_sums(f: Measure, terms: list) -> list:
+    """[sum over i of f(points[i]) * zeta_m^exps[i] for (points, exps) in
+    terms], m the exponent of f's abelian group, every point in f's support.
+
+    Over a ring that packs m, each sum adds rotations of f's lifted forms
+    (Measure._lifted) and all of them are lowered at once; otherwise each is
+    one root_sum.
+    """
+    ring, m = f.ring, f.group.exponent()
+    if not terms:
+        return []
+    if not ring.packs(m):
+        return [ring.root_sum(list(map(f.coeffs.__getitem__, points)), m, exps)
+                for points, exps in terms]
+    forms, shifts, lower = f._lifted()
+    return lower([sum(map(rshift, map(forms.__getitem__, points), map(shifts.__getitem__, exps)))
+                  for points, exps in terms], [len(points) for points, _ in terms])
+
+
 def eval_char(f: Measure, chi: GroupChar):
     """sum_g f(g) chi(g); abelian groups only."""
     if not isinstance(f.group, FinAbGroup):
         raise MeasureError("eval_char needs an abelian group")
     if chi.group != f.group:
         raise MeasureError("character group mismatch")
+    if not f.coeffs:
+        return f.ring.zero()
     index, _ = _group_index(f.group.orders)
     exponents = _char_row(f.group.orders, chi.exponents)
-    row = [exponents[index[g]] for g in f.coeffs]
-    return f.ring.root_sum(list(f.coeffs.values()), f.group.exponent(), row)
+    return _character_sums(f, [(f.coeffs, [exponents[index[g]] for g in f.coeffs])])[0]
 
 
 def eval_rep(f: Measure, rho: ArtinRep):
@@ -567,12 +664,10 @@ def twist(f: Measure, chi: GroupChar) -> Measure:
         raise MeasureError("twist needs an abelian group")
     if chi.group != f.group:
         raise MeasureError("character group mismatch")
-    ring = f.ring
     index, inverse = _group_index(f.group.orders)
     row = _char_row(f.group.orders, chi.exponents)
-    m = f.group.exponent()
-    return Measure(f.group, ring, {g: ring.mul_by_root(c, m, row[inverse[index[g]]])
-                                   for g, c in f.coeffs.items()})
+    values = _character_sums(f, [((g,), (row[inverse[index[g]]],)) for g in f.coeffs])
+    return Measure._of(f.group, f.ring, dict(zip(f.coeffs, values)))
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +734,8 @@ def assemble_from_components(components: dict[tuple, Measure], group: FinAbGroup
     zero = ring.zero()
     values = [components[d].coeffs.get(x, zero) for d, x in keys]
     sums = _transform(ring, values, group.orders, -1, delta_indices)
-    return Measure(group, ring, {g: t * inv_order for g, t in zip(group.elements(), sums)
-                                 if not ring.is_zero(t)})
+    return Measure._of(group, ring, {g: t * inv_order for g, t in zip(group.elements(), sums)
+                                     if not ring.is_zero(t)})
 
 
 # ---------------------------------------------------------------------------
@@ -795,26 +890,27 @@ def build_theta_component(nu: Measure, psi_theta: GroupChar, delta_value,
     sigma_inv = group.neg(sigma_delta)
     index, inverse = _group_index(group.orders)
     psi_row = _char_row(group.orders, psi_theta.exponents)
-    # nu's coefficients grouped by their point x = pr(sigma^-1 h), each with
-    # the exponent of psi_theta^-1(sigma^-1 h)
+    # nu's points h grouped by their point x = pr(sigma^-1 h), each with the
+    # exponent of psi_theta^-1(sigma^-1 h)
+    images = _hom_row(pr)
     by_point: dict[tuple, tuple[list, list]] = {}
-    for h, c in nu.coeffs.items():
-        shifted = group.add(sigma_inv, h)
-        coeffs, ks = by_point.setdefault(pr.apply(shifted), ([], []))
-        coeffs.append(c)
-        ks.append(psi_row[inverse[index[shifted]]])
-    m = group.exponent()
-    return Measure(pr.target, ring, {x: ring.root_sum(coeffs, m, ks) * scale
-                                     for x, (coeffs, ks) in by_point.items()})
+    for h in nu.coeffs:
+        b = index[group.add(sigma_inv, h)]
+        points, exps = by_point.setdefault(images[b], ([], []))
+        points.append(h)
+        exps.append(psi_row[inverse[b]])
+    sums = _character_sums(nu, list(by_point.values()))
+    return Measure._of(pr.target, ring, {x: t * scale for x, t in zip(by_point, sums)})
 
 
 # ---------------------------------------------------------------------------
 # Fourier machinery
 #
 # The transform below serves the operations that need every character.
-# eval_char, twist and build_theta_component need one, so they keep
-# root_sum: for one character the transform would lift every value and
-# compute every output to read one of them.
+# eval_char, twist and build_theta_component need one, so they sum
+# rotations of the measure's lifted forms (or call root_sum): for one
+# character the transform would lift every value and compute every output to
+# read one of them.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
@@ -939,10 +1035,10 @@ def fourier_invert(values: dict[GroupChar, object], group: FinAbGroup, ring) -> 
             out_ring = PadicCoeffs(PadicRing(p, ring.ring.precision - k,
                                              ring.ring.unram_degree,
                                              ring.ring.eisenstein_pk))
-        return Measure(group, out_ring, out)
+        return Measure._of(group, out_ring, out)
     inv_order = ring.inv(ring.from_int(order))
-    return Measure(group, ring, {g: t * inv_order for g, t in raw.items()
-                                 if not ring.is_zero(t)})
+    return Measure._of(group, ring, {g: t * inv_order for g, t in raw.items()
+                                     if not ring.is_zero(t)})
 
 
 def eval_all_chars(f: Measure) -> dict[GroupChar, object]:

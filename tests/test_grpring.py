@@ -2,11 +2,23 @@
 
 import random
 from fractions import Fraction as F
+from functools import reduce
+from operator import add
 
 import pytest
 
 import iwasawalab.grpring as grpring
-from iwasawalab.arith import PadicNumber, PadicRing, padic_ring_for_conductor, padic_sqrt
+from iwasawalab.arith import (
+    CycloNumber,
+    PadicNumber,
+    PadicRing,
+    _slot_width,
+    _unpack,
+    _zeta_table,
+    euler_phi,
+    padic_ring_for_conductor,
+    padic_sqrt,
+)
 from iwasawalab.chargroup import (
     FinAbGroup,
     GroupAutomorphism,
@@ -629,3 +641,221 @@ def test_padic_extended_measure_contract_precision8():
         lhs = eval_rep(extend_trivially(f, sg), rho)
         rhs = eval_char(f, chi) * eval_char(f, sg.conjugate_char(chi))
         assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# the cyclotomic lift and its lower
+# ---------------------------------------------------------------------------
+
+def _naive_cyclo_lower(forms, counts, big_m, width, bias, den):
+    """The column-wise lower of CYCLO.lift before the fold ran on whole
+    integers: every slot [0, M) of every form unpacked at once, count * bias
+    taken off each, then the column of X^k (k >= phi(M)) added onto the
+    columns of zeta_M^k through the zeta-power table."""
+    size = width * big_m
+    mask = (1 << 8 * size) - 1
+    joined = b"".join((x & mask).to_bytes(size, "little") for x in forms)
+    vals = _unpack(int.from_bytes(joined, "little"), len(forms) * big_m, width)
+    cols = [[v - count * bias for v, count in zip(vals[i::big_m], counts)]
+            for i in range(big_m)]
+    phi = euler_phi(big_m)
+    out = cols[:phi]
+    for col, row in zip(cols[phi:], _zeta_table(big_m)[phi:]):
+        for j, z in row:
+            out[j] = [a + z * b for a, b in zip(out[j], col)]
+    return [CycloNumber._from_ints(big_m, num, den) for num in zip(*out)]
+
+
+def _fold_norm(big_m):
+    """max over columns j of 1 + sum |z| over the zeta-power rows k >= phi(M)
+    with an entry z in column j."""
+    phi = euler_phi(big_m)
+    column = [1] * phi
+    for row in _zeta_table(big_m)[phi:]:
+        for j, z in row:
+            column[j] += abs(z)
+    return max(column)
+
+
+def _lower_cases(big_m, rng):
+    """(name, values, terms) for the lower at conductor big_m."""
+    phi = euler_phi(big_m)
+    norm = _fold_norm(big_m)
+    terms = 6
+    # the smallest bias whose width bound 2 * terms * bias * norm needs a
+    # third byte: without the sign bit the slots would be two bytes wide
+    bias = -(-(1 << 16) // (2 * terms * norm))
+    at_bound = [CycloNumber._from_ints(big_m, [rng.choice((bias, -bias)) for _ in range(phi)])
+                for _ in range(terms)]
+    negative = [CycloNumber._from_ints(big_m, [-rng.randint(1, 9) for _ in range(phi)])
+                for _ in range(terms)]
+    conductors = [c for c in (1, 20, 100) if big_m % c == 0] + [big_m]
+    mixed = [CycloNumber(c, [F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+                             for _ in range(euler_phi(c))])
+             for c in conductors for _ in range(2)]
+    return [("at-bound", at_bound, terms), ("all-negative", negative, terms),
+            ("mixed", mixed, 2 * len(mixed))]
+
+
+@pytest.mark.parametrize("big_m", [1, 2, 4, 12, 20, 25, 100, 105, 300, 1500])
+def test_cyclo_lower_matches_the_column_wise_reduction(big_m):
+    rng = random.Random(big_m)
+    for name, values, terms in _lower_cases(big_m, rng):
+        forms, sums, lower = CYCLO.lift(values, big_m, terms)
+        _, den, ints = CYCLO._common(values, big_m)
+        bias = max(abs(x) for vec in ints for x in vec)
+        width = sums.slot // 8
+        assert width == _slot_width(2 * terms * bias * _fold_norm(big_m)), name
+        shifts = sums.shifts(big_m)
+        outs, counts, expected = [], [], []
+        for count in (1, 2, terms - 1, terms):
+            for _ in range(2):
+                picks = [(rng.randrange(len(values)), rng.randrange(big_m)) for _ in range(count)]
+                outs.append(sum(forms[i] >> shifts[k] for i, k in picks))
+                counts.append(count)
+                expected.append(reduce(add, (values[i].mul_root(big_m, k) for i, k in picks)))
+        # every slot of the sum at 0 or at 2 * terms * bias: terms copies of
+        # one form at one rotation
+        k = rng.randrange(big_m)
+        outs.append(terms * (forms[0] >> shifts[k]))
+        counts.append(terms)
+        expected.append(values[0].mul_root(big_m, k) * terms)
+        got = lower(outs, counts)
+        naive = _naive_cyclo_lower(outs, counts, big_m, width, bias, den)
+        assert [(x.m, x.num, x.den) for x in got] == [(x.m, x.num, x.den) for x in naive], name
+        assert got == expected, name
+        assert lower([]) == []
+
+
+def _exponent(chi, g):
+    """k with chi(g) = zeta_m^k, m the exponent of chi's group."""
+    m = chi.group.exponent()
+    return sum(e * (m // n) * x for e, n, x in zip(chi.exponents, chi.group.orders, g)) % m
+
+
+def _sparse_cyclo_measure(group, rng, points):
+    """points random elements with coefficients of conductors 1, 20 and 100
+    over mixed denominators."""
+    def coeff():
+        c = rng.choice((1, 20, 100))
+        return CycloNumber(c, [F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+                               for _ in range(euler_phi(c))])
+    return Measure(group, CYCLO, {g: coeff() for g in rng.sample(group.elements(), points)})
+
+
+@pytest.mark.parametrize("ring, orders", [
+    (CYCLO, (4, 25)),
+    (PadicCoeffs(PadicRing(5, 6, 2, 25)), (5, 25)),
+], ids=["cyclo", "padic-p-group"])
+def test_one_character_operations_match_mul_root_sums(ring, orders):
+    # eval_char, twist and build_theta_component on a support strictly
+    # inside G, against sums of mul_by_root terms
+    C = FinAbGroup(orders)
+    G1 = FinAbGroup((25,))
+    pr = GroupHom(C, G1, ((0, 1),))
+    rng = random.Random(43)
+    m = C.exponent()
+    if ring is CYCLO:
+        nu = _sparse_cyclo_measure(C, rng, 37)
+    else:
+        nu = Measure(C, ring, {g: ring.ring.from_coords(
+            [rng.randrange(ring.ring.pN) for _ in range(ring.ring.dim)])
+            for g in rng.sample(C.elements(), 37)})
+    assert 0 < len(nu.coeffs) < C.order()
+    delta_v, omega = ring.from_int(3), ring.from_int(7)
+    scale = delta_v * ring.inv(omega)
+    for chi in rng.sample(char_table(C), 5):
+        assert eval_char(nu, chi) == reduce(add, (ring.mul_by_root(c, m, _exponent(chi, g))
+                                                  for g, c in nu.coeffs.items()))
+        assert twist(nu, chi) == Measure(C, ring, {
+            g: ring.mul_by_root(c, m, _exponent(chi, C.neg(g))) for g, c in nu.coeffs.items()})
+        sigma = rng.choice(C.elements())
+        expected: dict = {}
+        for h, c in nu.coeffs.items():
+            shifted = C.add(C.neg(sigma), h)
+            term = ring.mul_by_root(c, m, _exponent(chi, C.neg(shifted))) * scale
+            x = pr.apply(shifted)
+            expected[x] = expected[x] + term if x in expected else term
+        assert build_theta_component(nu, chi, delta_v, sigma, omega, pr) == \
+            Measure(G1, ring, expected)
+    empty = Measure.zero(C, ring)
+    assert eval_char(empty, chi) == ring.zero()
+    assert twist(empty, chi) == empty
+
+
+def _count_lifts(monkeypatch):
+    lifts = []
+    lift = type(CYCLO).lift
+
+    def counted(self, values, m, terms):
+        lifts.append(len(values))
+        return lift(self, values, m, terms)
+
+    monkeypatch.setattr(type(CYCLO), "lift", counted)
+    return lifts
+
+
+def test_one_character_operations_lift_the_measure_once(monkeypatch):
+    C = FinAbGroup((4, 25))
+    G1 = FinAbGroup((25,))
+    pr = GroupHom(C, G1, ((0, 1),))
+    rng = random.Random(44)
+    nu = _sparse_cyclo_measure(C, rng, 60)
+    chars = char_table(C)
+    lifts = _count_lifts(monkeypatch)
+    for chi in chars[:20]:
+        eval_char(nu, chi)
+    for chi in chars[20:24]:
+        build_theta_component(nu, chi, CYCLO.one(), (1, 3), CYCLO.from_int(2), pr)
+    for chi in chars[24:29]:
+        twist(nu, chi)
+    assert lifts == [60]
+
+
+def test_derived_measures_lift_their_own_coefficients(monkeypatch):
+    C = FinAbGroup((4, 25))
+    rng = random.Random(45)
+    f = _sparse_cyclo_measure(C, rng, 30)
+    chi = GroupChar(C, (1, 7))
+    lifts = _count_lifts(monkeypatch)
+    eval_char(f, chi)
+    delta = Measure.delta(C, CYCLO, (2, 3))
+    derived = [f + delta, f.scale(CYCLO.from_int(2)), -f]
+    for g in derived:
+        expected = reduce(add, (c.mul_root(100, _exponent(chi, x)) for x, c in g.coeffs.items()))
+        assert eval_char(g, chi) == expected
+    assert lifts == [30] + [len(g.coeffs) for g in derived]
+
+
+def test_internal_constructors_keep_canonical_keys(monkeypatch):
+    C = FinAbGroup((4, 25))
+    f = Measure(C, CYCLO, {(5, -1): CYCLO.from_int(3), (0, 0): CYCLO.zero()})
+    assert f.coeffs == {(1, 24): CYCLO.from_int(3)}
+    rng = random.Random(46)
+    nu = _sparse_cyclo_measure(C, rng, 40)
+    ring = PadicCoeffs(PadicRing(5, 6, 1, 25))
+    pg = FinAbGroup((5, 25))
+    a = random_measure(pg, ring, rng, density=0.3)
+    b = random_measure(pg, ring, rng, density=0.3)
+    pr = GroupHom(C, FinAbGroup((25,)), ((0, 1),))
+    chi = GroupChar(C, (3, 8))
+    comps = idempotent_split(nu, (0,))
+    results = [nu + f, -nu, nu.scale(CYCLO.from_int(3)), convolve(a, b),
+               fourier_invert(eval_all_chars(nu), C, CYCLO),
+               assemble_from_components(comps, C, (0,)),
+               build_theta_component(nu, chi, CYCLO.one(), (1, 3), CYCLO.from_int(2), pr),
+               twist(nu, chi)]
+    for r in results:
+        assert r.coeffs == Measure(r.group, r.ring, r.coeffs).coeffs
+        assert all(r.group.normalize(g) == g for g in r.coeffs)
+    calls = []
+    normalize = FinAbGroup.normalize
+
+    def counted(self, g):
+        calls.append(g)
+        return normalize(self, g)
+
+    monkeypatch.setattr(FinAbGroup, "normalize", counted)
+    again = [nu + f, -nu, nu.scale(CYCLO.from_int(3)), convolve(a, b), twist(nu, chi)]
+    assert calls == []
+    assert again == [results[0], results[1], results[2], results[3], results[7]]
