@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, itemgetter, lshift, or_, rshift
+from operator import add, lshift, or_, rshift, sub
 
 __all__ = [
     "MAX_CONDUCTOR",
@@ -350,6 +350,129 @@ class _DoubledSums:
             return list(map(or_, ys, map(lshift, ys, repeat(bits))))
 
         return rotate_sums
+
+
+@lru_cache(maxsize=None)
+def _fold_rows(big_m: int) -> tuple:
+    """(groups, norm) for the reduction mod Phi_M of Z[X]/(X^M - 1), M = big_m.
+
+    The rows of _zeta_table(M) for k >= phi(M) move X^k onto z X^j, at
+    distance d = k - j.  groups holds one (z, sets) pair per coefficient z,
+    sets one (ks, ds) pair per exponent set ks: ds are the distances at
+    which every k in ks has an entry z.  norm is the largest 1 + sum |z|
+    over a column j: the fold maps coordinates in [-c, c] into
+    [-c norm, c norm].
+    """
+    phi = euler_phi(big_m)
+    by_z: dict[int, dict[int, list]] = {}
+    column = [1] * phi
+    for k, row in enumerate(_zeta_table(big_m)[phi:], phi):
+        for j, z in row:
+            by_z.setdefault(z, {}).setdefault(k - j, []).append(k)
+            column[j] += abs(z)
+    groups = []
+    for z, by_d in by_z.items():
+        sets: dict[tuple, list] = {}
+        for d, ks in by_d.items():
+            sets.setdefault(tuple(ks), []).append(d)
+        groups.append((z, tuple((ks, tuple(ds)) for ks, ds in sets.items())))
+    return tuple(groups), max(column)
+
+
+@lru_cache(maxsize=64)
+def _cyclo_fold(big_m: int, width: int, blocks: int) -> tuple:
+    """(fold, ones): the reduction mod Phi_M, M = big_m, on whole integers
+    of `blocks` doubled blocks of Z[X]/(X^M - 1) in width-byte slots (2M
+    slots a block, as _DoubledSums lays them out), kept per (M, width,
+    blocks).  The one fold of both coefficient rings: the CYCLO lower
+    (_cyclo_lift) and PadicRing._rotation_lower.
+
+    Slot j < phi(M) of every block of fold(x) holds coordinate j of the
+    block's slots [0, M) mod Phi_M, as a signed slot sum; the other slots
+    hold 0.  fold(x) is x's phi(M) low slots plus, per coefficient z of
+    _fold_rows, z times the sum over its sets (ks, ds) of the slots ks
+    moved down by each distance d in ds: one mask (the slots ks), one right
+    shift by the largest distance D and one left shift by D - d per
+    distance.  At M = p^k that is one set, z = -1, ks = [e, p^k) and
+    ds = t p^(k-1) for t = 1..p-1, since X^(e+r) =
+    -sum_{t<p-1} X^(r + t p^(k-1)), e = phi(p^k).  ones has a 1 in the
+    phi(M) low slots of every block.
+    """
+    slot = 8 * width
+    fill = (1 << slot) - 1
+
+    def spread(ks):
+        row = sum(1 << slot * k for k in ks)
+        return sum(row << 2 * big_m * slot * b for b in range(blocks))
+
+    ones = spread(range(euler_phi(big_m)))
+    low = fill * ones
+    parts = tuple((z, tuple((fill * spread(ks), slot * max(ds),
+                             tuple(slot * (max(ds) - d) for d in ds)) for ks, ds in sets))
+                  for z, sets in _fold_rows(big_m)[0])
+
+    def fold(x: int) -> int:
+        y = x & low
+        for z, sets in parts:
+            t = 0
+            for mask, down, lefts in sets:
+                h = (x & mask) >> down
+                for s in lefts:
+                    t += h << s
+            y += z * t
+        return y
+
+    return fold, ones
+
+
+def _cyclo_lift(values, m: int, terms: int) -> tuple:
+    """(forms, sums, lower) of the CYCLO coefficient ring for CycloNumber
+    values and orders n | m (the lift of grpring's adapter contract).
+
+    A value is lifted to Z[X]/(X^M - 1), M the lcm of m and the values'
+    conductors, over den, the lcm of their denominators: slot (M / c.m) i
+    holds coordinate i of a value of conductor c.m.  One bias, the largest
+    coordinate size, is added to every slot, so slots stay nonnegative;
+    rotations leave it in place, so a sum of `count` rotated forms has slots
+    in [0, 2 count bias].  lower folds each sum mod Phi_M on its own integer
+    (_cyclo_fold), takes off the fold of count * bias in every slot and
+    builds the canonical CycloNumber once per output.  After the fold a
+    coordinate is at most count * bias * norm (_fold_rows) in size, read
+    signed: one more bit.
+    """
+    big_m = lcm(m, *(c.m for c in values))
+    den = lcm(*(c.den for c in values))
+    ints = [c.num if c.den == den else [x * (den // c.den) for x in c.num] for c in values]
+    bias = max(max(map(max, ints)), -min(map(min, ints)))
+    width = _slot_width(2 * terms * bias * _fold_rows(big_m)[1])
+    slots = [bias] * (big_m * len(values))
+    for start, vec, c in zip(range(0, len(slots), big_m), ints, values):
+        if any(vec):
+            lift = big_m // c.m
+            slots[start:start + lift * len(vec):lift] = [x + bias for x in vec]
+    raw = memoryview(_pack_bytes(slots, width))
+    step = width * big_m
+    bits = 8 * step
+    # each value's block written twice in a row, as _DoubledSums rotates it
+    forms = [x | x << bits for x in
+             (int.from_bytes(raw[t:t + step], "little") for t in range(0, len(raw), step))]
+    phi = euler_phi(big_m)
+    size = width * phi
+    top = 1 << 8 * width - 1
+    fold, ones = _cyclo_fold(big_m, width, 1)
+    half = top * ones
+    unit = fold(int.from_bytes((b"\x01" + bytes(width - 1)) * big_m, "little"))
+
+    def lower(forms, counts=None):
+        # fold(x) - fold(count * bias in every slot) + top in every low slot
+        # puts every coordinate in [0, 2 top); only the phi low slots are read
+        folded = [(fold(x) + half - count * bias * unit).to_bytes(size, "little")
+                  for x, count in zip(forms, repeat(terms) if counts is None else counts)]
+        vals = _unpack(int.from_bytes(b"".join(folded), "little"), phi * len(folded), width)
+        return [CycloNumber._from_ints(big_m, map(sub, vals[t:t + phi], repeat(top)), den)
+                for t in range(0, len(vals), phi)]
+
+    return forms, _DoubledSums(big_m, width, 1), lower
 
 
 def _check_conductor(m: int) -> None:
@@ -675,23 +798,20 @@ class PadicRing:
 
     Products and sums of zeta-power multiples run on packed integers: the
     coordinates (each in [0, p^N)) sit in fixed-width byte slots of one
-    Python int, slot 0 lowest.  A product lays beta^i zeta^j at slot
-    i*s + j with row stride s = 2e-1, or cols_a + cols_b - 1 when the
-    factors use only zeta^j for j < cols (1 for values in Z_p), so one
-    big-integer multiply leaves the raw product on a (2f-1) x s grid that
-    _reduce_product rewrites.  The group-ring convolution in grpring puts
-    one axis of 2n-1 such grids in front for each cyclic factor Z/n.  Sums
-    of zeta-power multiples (root_sum, the Fourier transform) place each
-    beta-block in p^k slots of Z[x]/(x^{p^k} - 1), written twice
-    in a row (_rotation_pack), so multiplying by zeta^s is a rotation
-    (_DoubledSums), and _rotation_lower reduces the result once, on whole
-    integers: a fold mod Phi_{p^k} that adds a bias T, a multiple of p^N,
-    to every slot, then Barrett's remainder mod p^N on every slot at once.
-    A product slot has as many bytes as (summands) * (p^N - 1)^2 needs.  A
-    rotation slot is a whole number of 64-bit words: the first width whose
-    Barrett exponent k (the largest with k + bitlen(floor(2^k / p^N)) + 1
-    bits fitting the slot) leaves a bias T >= (terms) * (p^N - 1) with
-    2T < 2^k (_barrett, _rotation_width).  So no carry crosses a slot.
+    Python int, slot 0 lowest.  Every product, PadicNumber.__mul__ and the
+    group-ring convolution alike, is one Kronecker product (_product) whose
+    raw sums _reduce_product rewrites.  Sums of zeta-power multiples
+    (root_sum, the Fourier transform) place each beta-block in p^k slots of
+    Z[x]/(x^{p^k} - 1), written twice in a row (_rotation_pack), so
+    multiplying by zeta^s is a rotation (_DoubledSums); _rotation_lower
+    reduces a sum once, on whole integers, by the fold mod Phi_{p^k} that
+    the cyclotomic lower uses too (_cyclo_fold), a bias T, a multiple of
+    p^N, in every slot, and Barrett's remainder mod p^N on every slot at
+    once.  A rotation slot is a whole number of 64-bit words: the first
+    width whose Barrett exponent k (the largest with
+    k + bitlen(floor(2^k / p^N)) + 1 bits fitting the slot) leaves
+    T >= (terms) * (p^N - 1) with 2T < 2^k (_barrett, _rotation_width).
+    So no carry crosses a slot.
 
     The ring owns the fixed embedding Q(zeta_m) -> ring (roots_of_unity),
     which is the choice of a prime above p: root_sum and embed_cyclo_padic
@@ -731,7 +851,6 @@ class PadicRing:
         # zeta^(e+k), k < e-1, as sparse (index, value) pairs
         self._eis_rows = tuple(tuple((j, r) for j, r in enumerate(row) if r)
                                for row in _power_rows(cyclotomic_poly(pk), self.e - 1, self.pN))
-        self._mul_width = _slot_width(self.dim * (self.pN - 1) ** 2)
         self._frob_image = None
         self._teich_gen = None
         self._roots: dict[int, tuple] = {}
@@ -869,38 +988,13 @@ class PadicRing:
 
     # -- packed-integer kernels -------------------------------------------
 
-    def _extent(self, coords) -> tuple[int, int]:
-        """(rows, cols): coords vanish outside beta^i zeta^j, i < rows, j < cols."""
-        e = self.e
-        rows = cols = 0
-        for i in range(0, self.dim, e):
-            block = coords[i:i + e]
-            if any(block):
-                rows = i // e + 1
-                j = e
-                while not block[j - 1]:
-                    j -= 1
-                cols = max(cols, j)
-        return rows, cols
-
-    def _grid(self, coords, rows: int, cols: int, stride: int) -> list[int]:
-        """The rows x cols corner of coords, beta^i zeta^j at slot i*stride + j."""
-        e = self.e
-        gap = [0] * (stride - cols)
-        out: list[int] = []
-        for i in range(0, rows * e, e):
-            out += coords[i:i + cols]
-            out += gap
-        return out
-
     def _reduce_product(self, raw: list[int], stride: int) -> tuple[int, ...]:
-        """Coordinates of a raw product of two _grid layouts.
+        """Coordinates of one output of _product from its raw sum.
 
         raw[i*stride + j] is the unreduced coefficient of beta^i zeta^j, with
         i < 2f-1 and j < stride <= 2e-1.  zeta^j for j >= e is rewritten with
         _eis_rows and beta^i for i >= f with _unram_rows; each coordinate is
-        reduced mod p^N once, at the end.  PadicNumber.__mul__ and the packed
-        group-ring convolution both finish here.
+        reduced mod p^N once, at the end.
         """
         e, f = self.e, self.unram_degree
         pad = [0] * (e - stride)
@@ -920,6 +1014,55 @@ class PadicRing:
                     blocks[t] = [a + r * b for a, b in zip(blocks[t], high)]
         pN = self.pN
         return tuple(c % pN for block in blocks[:f] for c in block)
+
+    def _product(self, f: dict, g: dict, fold, count: int) -> list["PadicNumber"]:
+        """[sum of f[s] * g[t] over the positions s, t with fold[s + t] = h
+        for h < count]: the one Kronecker product layout of the ring.
+
+        f and g map a block position to the coordinates of a nonzero element.
+        A family's extent is (rows, cols) when its coordinates vanish outside
+        beta^i zeta^j, i < rows, j < cols (1 x 1 for values in Z_p).  Each
+        family is packed into one integer: beta^i zeta^j of position s at
+        slot s*block + i*stride + j, with stride = cols_f + cols_g - 1 and
+        block = (rows_f + rows_g - 1) * stride, so one big-integer multiply
+        leaves the raw product of positions summing to t in block t with no
+        overlap.  Every output sums the blocks that fold onto it and
+        _reduce_product reduces it once.  A slot receives at most
+        min(|f|, |g|) * min(rows) * min(cols) products of coordinates below
+        p^N, which sets the slot width.  PadicNumber.__mul__ is one block at
+        position 0; grpring's packed convolution lays out the group axes.
+        """
+        e = self.e
+        extents = []
+        for family in (f, g):
+            rows = cols = 0
+            for coords in family.values():
+                for i in range(0, self.dim, e):
+                    part = coords[i:i + e]
+                    if any(part):
+                        rows = max(rows, i // e + 1)
+                        j = e
+                        while not part[j - 1]:
+                            j -= 1
+                        cols = max(cols, j)
+            extents.append((rows, cols))
+        (rf, cf), (rg, cg) = extents
+        stride = cf + cg - 1
+        block = (rf + rg - 1) * stride
+        width = _slot_width(min(len(f), len(g)) * min(rf, rg) * min(cf, cg) * (self.pN - 1) ** 2)
+        prod = 1
+        for family, (rows, cols) in zip((f, g), extents):
+            slots = [0] * ((max(family) + 1) * block)
+            for s, coords in family.items():
+                for base, i in zip(range(s * block, (s + 1) * block, stride), range(0, rows * e, e)):
+                    slots[base:base + cols] = coords[i:i + cols]
+            prod *= _pack(slots, width)
+        raw = _unpack(prod, len(fold) * block, width)
+        sums = [None] * count
+        for t, h in enumerate(fold):
+            part = raw[t * block:(t + 1) * block]
+            sums[h] = part if sums[h] is None else list(map(add, sums[h], part))
+        return [PadicNumber(self, self._reduce_product(s, stride)) for s in sums]
 
     def _rotation_pack(self, vectors, width: int) -> list[int]:
         """Each coordinate vector with its beta-blocks, each padded to the p^k
@@ -945,13 +1088,6 @@ class PadicRing:
             start = end
         return out
 
-    def _fold_cyclic(self, a) -> list[int]:
-        """Coordinates of one block of Z[x]/(x^{p^k} - 1), p^k > 1: mod
-        Phi_{p^k}, x^(e+r) = -sum_t x^(r + t p^(k-1)), so coordinate j is
-        a[j] - a[e + j mod p^(k-1)], reduced mod p^N."""
-        pN = self.pN
-        return [(x - y) % pN for x, y in zip(a, a[self.e:] * (self.p - 1))]
-
     def _barrett(self, width: int) -> tuple[int, int, int]:
         """(k, M, T) for width-byte slots: M = floor(2^k / p^N) with k the
         largest exponent for which k + bitlen(M) + 1 <= the slot's bits, and
@@ -970,34 +1106,21 @@ class PadicRing:
         return width
 
     def _lower_constants(self, width: int, blocks: int) -> tuple:
-        """(low, high, copies, bias, k, M, qmask, half, ones) for
-        _rotation_lower on `blocks` doubled blocks of width-byte slots, kept
-        per (width, blocks).
+        """(fold, bias, k, M, qmask, half, ones) for _rotation_lower on
+        `blocks` doubled blocks of width-byte slots, kept per (width, blocks).
 
-        ones has a 1 in each of the e low slots of every block; low and
-        qmask fill those slots with the slot's bits and bitlen(M) bits, bias
-        with T and half with 2^(slot-1) - p^N.  high fills the p^(k-1) low
-        slots of every block, and copies holds the p - 2 shifts, by
-        t p^(k-1) slots, that repeat them over the e low slots.
+        fold and ones are _cyclo_fold's at p^k: ones has a 1 in each of the e
+        low slots of every block.  bias, qmask and half fill those slots with
+        T, bitlen(M) bits and 2^(slot-1) - p^N.
         """
         key = (width, blocks)
         consts = self._lowers.get(key)
         if consts is None:
-            e, pk, p = self.e, self.eisenstein_pk, self.p
-            slot = 8 * width
-            fill = (1 << slot) - 1
+            fold, ones = _cyclo_fold(self.eisenstein_pk, width, blocks)
             k, M, T = self._barrett(width)
-
-            def per_block(count):
-                row = sum(1 << slot * j for j in range(count))
-                return sum(row << 2 * pk * slot * b for b in range(blocks))
-
-            ones = per_block(e)
-            hq = pk // p
             consts = self._lowers[key] = (
-                fill * ones, fill * per_block(hq), tuple(slot * hq * t for t in range(1, p - 1)),
-                T * ones, k, M, ((1 << M.bit_length()) - 1) * ones,
-                ((1 << slot - 1) - self.pN) * ones, ones)
+                fold, T * ones, k, M, ((1 << M.bit_length()) - 1) * ones,
+                ((1 << 8 * width - 1) - self.pN) * ones, ones)
         return consts
 
     def _rotation_lower(self, x: int, width: int) -> "PadicNumber":
@@ -1005,25 +1128,22 @@ class PadicRing:
         whole integers: slots [0, p^k) of each doubled block hold the block
         in Z[x]/(x^{p^k} - 1).
 
-        Fold: z = a[j] + T - a[e + j mod p^(k-1)] in slot j < e of every block
-        (none for p^k = 1), in [0, 2T) and congruent to coordinate j mod p^N.
+        Fold (_cyclo_fold at p^k) plus the bias T: z = a[j] + T -
+        a[e + j mod p^(k-1)] in slot j < e of every block (z = a[0] + T for
+        p^k = 1), in [0, 2T] and congruent to coordinate j mod p^N.
         Barrett: q = (z M) >> k is floor(z / p^N) or one less, so
         r = z - q p^N lies in [0, 2 p^N); the top bit of r + 2^(slot-1) - p^N
         marks the slots where p^N is subtracted once more.  Only the e low
         slots of each block are read.
         """
-        pk, e = self.eisenstein_pk, self.e
-        span = 2 * pk
+        span = 2 * self.eisenstein_pk
         slot = 8 * width
         blocks = -(-x.bit_length() // (slot * span))
         if not blocks:
             return self.zero()
-        low, high, copies, bias, k, M, qmask, half, ones = self._lower_constants(width, blocks)
-        z = x & low
-        if pk > 1:
-            h = x >> slot * e & high
-            z += bias - reduce(or_, map(h.__lshift__, copies), h)
-        pN = self.pN
+        fold, bias, k, M, qmask, half, ones = self._lower_constants(width, blocks)
+        z = fold(x) + bias
+        pN, e = self.pN, self.e
         r = z - ((z * M >> k) & qmask) * pN
         r -= ((r + half) >> slot - 1 & ones) * pN
         vals = _unpack(r, span * (blocks - 1) + e, width)
@@ -1068,24 +1188,20 @@ class PadicRing:
         return reduce(add, terms) if terms else self.zero()
 
     def zeta_substitution(self, x: "PadicNumber", a: int) -> "PadicNumber":
-        """The inertia action zeta -> zeta^a (a prime to p): in each beta-block
-        placed in Z[x]/(x^{p^k} - 1), slot j moves to slot a*j mod p^k, and
-        _fold_cyclic reduces the block."""
+        """The inertia action zeta -> zeta^a (a prime to p): each beta-block
+        through the zeta-power table of p^k (_accumulate_roots, the kernel of
+        CycloNumber._substitute), every coordinate reduced mod p^N once."""
         pk = self.eisenstein_pk
         if pk == 1:
             return x
         if a % self.p == 0:
             raise ArithError(f"zeta -> zeta^{a} is not an automorphism: {a} is divisible by p")
-        e = self.e
-        # slot i of the image holds slot a^-1 i of the block
-        inv = pow(a, -1, pk)
-        gather = itemgetter(*(inv * i % pk for i in range(pk)))
-        pad = [0] * (pk - e)
-        out: list[int] = []
+        e, coords = self.e, x.coords
+        buf = [0] * self.dim
         for base in range(0, self.dim, e):
-            block = list(x.coords[base:base + e])
-            out += self._fold_cyclic(gather(block + pad)) if any(block) else block
-        return PadicNumber(self, tuple(out))
+            _accumulate_roots(buf, pk, coords[base:base + e], a, 0, base)
+        pN = self.pN
+        return PadicNumber(self, tuple(c % pN for c in buf))
 
     def frobenius(self, x: "PadicNumber") -> "PadicNumber":
         """Ring automorphism lifting the p-power map on the residue field.
@@ -1271,12 +1387,7 @@ class PadicNumber:
             return self * b[0]
         if not any(a[1:]):
             return other * a[0]
-        ring = self.ring
-        f, e = ring.unram_degree, ring.e
-        stride, width = 2 * e - 1, ring._mul_width
-        prod = _pack(ring._grid(a, f, e, stride), width) * _pack(ring._grid(b, f, e, stride), width)
-        raw = _unpack(prod, (2 * f - 1) * stride, width)
-        return PadicNumber(ring, ring._reduce_product(raw, stride))
+        return self.ring._product({0: a}, {0: b}, (0,), 1)[0]
 
     __rmul__ = __mul__
 

@@ -2,9 +2,10 @@
 
 A lattice is described by (1, tau) with tau totally imaginary.  The checks:
 stability under multiplication by the declared order (exact 2x2 rational
-solves), the decomposition tau = s sqrt(-d) with s a p-unit, and a
-norm-bounded search for a generator alpha with O alpha = Z + Z tau, whose
-valuation at the canonical prime above a split p must vanish.
+solves), the decomposition tau = s sqrt(-d) with s a p-unit, and a search
+among the elements of the right norm for a generator alpha with
+O alpha = Z + Z tau, whose valuation at the canonical prime above a split p
+must vanish.
 
 Two order modes:
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor, isqrt
 
 from .arith import (
     CLASS_NUMBER_ONE_DISCS,
@@ -137,7 +139,6 @@ def decompose_tau(lat: CmLattice, p: int) -> TauDecomposition:
 class GeneratorResult:
     alpha: QuadFieldElem | None
     p_unit: bool
-    searched_bound: int
     witness: str = ""
 
     @property
@@ -152,42 +153,48 @@ def _covolume_ratio(lat: CmLattice) -> Fraction:
     return abs(lat.tau.b) / abs(w.b)
 
 
-def find_generator(lat: CmLattice, p: int, bound: int | None = None) -> GeneratorResult:
+def find_generator(lat: CmLattice, p: int) -> GeneratorResult:
     """Search alpha with O * alpha = Z + Z tau; verify v_p(alpha) = 0 at the
-    canonical split prime.  The search box is norm-bounded: |m|, |n| <= bound
-    with candidates m + n tau."""
+    canonical split prime.
+
+    alpha = m + n tau must have norm t, the covolume ratio.  With
+    tau = a + b sqrt(-d), N(m + n tau) = (m + n a)^2 + d (n b)^2 = t, so
+    d b^2 n^2 <= t and |m| <= sqrt(t) + |n a|: the search box holds every
+    element of norm t.  Such an element spans O alpha inside the lattice
+    with the same covolume, so the search fails only when no element has
+    norm t.  Candidates go outward, by max(|m|, |n|) and then (m, n), so
+    the small generators are found first.
+    """
     if legendre_symbol(-lat.d, p) != 1:
         raise LatticeError(f"p = {p} is not split in Q(sqrt(-{lat.d}))")
     if not cm_stable(lat):
         raise LatticeError("lattice is not stable under the declared order")
     target_norm = _covolume_ratio(lat)
-    if bound is None:
-        bound = lat.d + 4
+    a, b = lat.tau.a, lat.tau.b
+    n_max = isqrt(floor(target_norm / (lat.d * b * b)))
+    m_max = isqrt(floor(target_norm)) + ceil(n_max * abs(a))
     w = lat.omega()
-    # grow the search box outward so the small generators are found first
     candidates = sorted(
-        ((m, n) for m in range(-bound, bound + 1) for n in range(-bound, bound + 1)
+        ((m, n) for m in range(-m_max, m_max + 1) for n in range(-n_max, n_max + 1)
          if (m, n) != (0, 0)),
         key=lambda t: (max(abs(t[0]), abs(t[1])), t))
     for m, n in candidates:
-            alpha = QuadFieldElem.rational(lat.d, m) + lat.tau * n
-            if alpha.norm() != target_norm:
-                continue
-            # O alpha inside the lattice and alpha^-1 lattice inside O
-            if not (lat.contains(alpha) and lat.contains(alpha * w)):
-                continue
-            inv = alpha.inverse()
-            one_c = inv * QuadFieldElem.rational(lat.d, 1)
-            tau_c = inv * lat.tau
-            if not (_in_order(one_c, w) and _in_order(tau_c, w)):
-                continue
-            v = alpha.valuation_at_split_prime(p)
-            if v != 0:
-                return GeneratorResult(alpha, False, bound,
-                                       f"v_p(alpha) = {v} for alpha = {alpha}")
-            return GeneratorResult(alpha, True, bound)
-    return GeneratorResult(None, False, bound,
-                           f"no generator with norm {target_norm} within bound {bound}")
+        alpha = QuadFieldElem.rational(lat.d, m) + lat.tau * n
+        if alpha.norm() != target_norm:
+            continue
+        # O alpha inside the lattice and alpha^-1 lattice inside O
+        if not (lat.contains(alpha) and lat.contains(alpha * w)):
+            continue
+        inv = alpha.inverse()
+        one_c = inv * QuadFieldElem.rational(lat.d, 1)
+        tau_c = inv * lat.tau
+        if not (_in_order(one_c, w) and _in_order(tau_c, w)):
+            continue
+        v = alpha.valuation_at_split_prime(p)
+        if v != 0:
+            return GeneratorResult(alpha, False, f"v_p(alpha) = {v} for alpha = {alpha}")
+        return GeneratorResult(alpha, True)
+    return GeneratorResult(None, False, f"no element m + n tau has norm {target_norm}")
 
 
 def _in_order(x: QuadFieldElem, omega: QuadFieldElem) -> bool:

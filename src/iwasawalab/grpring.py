@@ -28,19 +28,18 @@ transform), whenever the ring packs the order at hand:
   each sum is one right shift per point and one addition, and all the sums
   of a call are lowered at once.  Otherwise each sum is one root_sum.
 
-The cyclotomic lower reduces mod Phi_M on the whole integer: the reduction
-rows of X^k (k >= phi(M)) are grouped by distance and coefficient, one mask
-and one shift per group (_cyclo_fold), and only the phi(M) low slots of each
-output are read.  One character is |G| terms through the lifted forms; through
-the transform it would cost |G| times the sum of the prime factors and a
-lower per character, so the split is by operation, not by size.  The
-exponents k of chi(g) = zeta_m^k are tabulated once per character.
+One character is |G| terms through the lifted forms; through the transform
+it would cost |G| times the sum of the prime factors and a lower per
+character, so the split is by operation, not by size.  The exponents k of
+chi(g) = zeta_m^k are tabulated once per character.
 
-convolve of two p-adic measures on an abelian group is one big-integer
-product: each measure is packed as a polynomial in the group axes, beta and
-zeta (Kronecker substitution), and the product is folded mod each cyclic
-order and reduced once per element.  Measures on a semidirect group and the
-cyclotomic and symbolic rings take the generic double loop.
+This module holds the group layout only.  The packed format lives in arith:
+the lifts (arith._cyclo_lift, PadicRing._rotation_lift) and the one fold
+mod Phi_M on whole integers that lowers both (arith._cyclo_fold).  convolve
+of two p-adic measures on an abelian group is one Kronecker product of the
+ring (PadicRing._product); _conv_layout places the group axes and says
+which product block folds onto which element.  Measures on a semidirect
+group and the cyclotomic and symbolic rings take the generic double loop.
 
 Conventions that matter downstream:
 
@@ -60,23 +59,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import product, repeat
+from itertools import product
 from math import lcm, prod
-from operator import add, itemgetter, mul, rshift, sub
+from operator import add, itemgetter, mul, rshift
 
 from .arith import (
     ArithError,
     CycloNumber,
-    PadicNumber,
     PadicRing,
-    _DoubledSums,
-    _pack,
-    _pack_bytes,
-    _slot_width,
-    _unpack,
-    _zeta_table,
+    _cyclo_lift,
     embed_cyclo_padic,
-    euler_phi,
     factorize,
     zeta,
 )
@@ -159,15 +151,13 @@ class _CoeffAdapter:
 
     Which ring uses which:
 
-    * CYCLO packs every order.  A value is lifted to Z[X]/(X^M - 1), M the
-      lcm of m and the values' conductors, in one packed integer.  One bias
-      is added to every slot, so slots stay nonnegative; rotations fix the
-      all-ones vector, so lower folds each sum mod Phi_M on the whole
-      integer (_cyclo_fold), takes off the fold of count * bias in every
-      slot and builds the canonical CycloNumber once per output.  root_sum
-      is one lift, one sum of shifted forms and one lower.
-    * PadicCoeffs packs the orders dividing p^k: each beta-block in
-      Z[X]/(X^{p^k} - 1), lowered by PadicRing._rotation_lower.  An axis of
+    * CYCLO packs every order: arith._cyclo_lift lifts the values to
+      Z[X]/(X^M - 1), M the lcm of m and their conductors, and lowers each
+      sum through the fold mod Phi_M (arith._cyclo_fold).  root_sum is one
+      lift, one sum of shifted forms and one lower.
+    * PadicCoeffs packs the orders dividing p^k: PadicRing._rotation_lift
+      puts each beta-block in Z[X]/(X^{p^k} - 1) and lowers through the
+      same fold at p^k, then Barrett's remainder mod p^N.  An axis of
       prime-to-p order n runs on ring elements through PadicRing.root_sum,
       one product by one of the n Teichmueller images of mu_n per term.
     * SymCoeffs takes the defaults here: every sum on ring elements.
@@ -187,54 +177,6 @@ class _CoeffAdapter:
     def root_sum(self, coeffs, m, exps):
         terms = [self.mul_by_root(c, m, k) if k else c for c, k in zip(coeffs, exps)]
         return reduce(add, terms) if terms else self.zero()
-
-
-@lru_cache(maxsize=None)
-def _fold_rows(big_m: int) -> tuple:
-    """(groups, norm) for the reduction mod Phi_M of Z[X]/(X^M - 1), M = big_m.
-
-    The rows of _zeta_table(M) for k >= phi(M) move X^k onto z X^j; groups
-    holds one (z, {d: ks}) pair per coefficient z, ks the exponents k with
-    an entry z at distance d = k - j.  norm is the largest 1 + sum |z| over
-    a column j: the fold maps coordinates in [-c, c] into [-c norm, c norm].
-    """
-    phi = euler_phi(big_m)
-    by_z: dict[int, dict[int, list]] = {}
-    column = [1] * phi
-    for k, row in enumerate(_zeta_table(big_m)[phi:], phi):
-        for j, z in row:
-            by_z.setdefault(z, {}).setdefault(k - j, []).append(k)
-            column[j] += abs(z)
-    return tuple(by_z.items()), max(column)
-
-
-@lru_cache(maxsize=32)
-def _cyclo_fold(big_m: int, width: int) -> tuple:
-    """(low, groups, unit, half): the constants of _CycloCoeffs.lift's lower
-    at conductor M = big_m in width-byte slots, kept per (M, width).
-
-    fold(x) = (x & low) + sum over (z, masks, shifts) in groups of
-    z * sum over i of ((x & masks[i]) >> shifts[i]) reduces the slots [0, M)
-    of x mod Phi_M on the whole integer: low keeps the phi(M) low slots, a
-    mask the slots k of one (d, z) group of _fold_rows, which its shift
-    moves down d slots.  unit = fold(1 in every slot), which is 0 for
-    M > 1 (the M-th roots of unity sum to 0) and 1 at M = 1; half holds
-    2^(slot-1) in every low slot.
-    """
-    slot = 8 * width
-    fill = (1 << slot) - 1
-    phi = euler_phi(big_m)
-
-    def ones(ks):
-        return sum(1 << slot * k for k in ks)
-
-    groups = tuple((z, tuple(fill * ones(ks) for ks in ds.values()),
-                    tuple(slot * d for d in ds)) for z, ds in _fold_rows(big_m)[0])
-    low = fill * ones(range(phi))
-    every = ones(range(big_m))
-    unit = (every & low) + sum(z * sum(map(rshift, map(every.__and__, masks), shifts))
-                               for z, masks, shifts in groups)
-    return low, groups, unit, (1 << slot - 1) * ones(range(phi))
 
 
 class _CycloCoeffs(_CoeffAdapter):
@@ -267,56 +209,8 @@ class _CycloCoeffs(_CoeffAdapter):
     def packs(self, n):
         return True
 
-    @staticmethod
-    def _common(coeffs, m):
-        """(big_m, den, ints): the lcm of m and the conductors, the lcm of the
-        denominators, and each value's coordinates scaled to den."""
-        big_m = lcm(m, *(c.m for c in coeffs))
-        den = lcm(*(c.den for c in coeffs))
-        ints = [c.num if c.den == den else [x * (den // c.den) for x in c.num]
-                for c in coeffs]
-        return big_m, den, ints
-
     def lift(self, values, m, terms):
-        big_m, den, ints = self._common(values, m)
-        # slot lift * i of a value of conductor c.m holds coordinate i; every
-        # slot carries the bias, which rotations leave in place, so a sum of
-        # `count` rotated forms has slots in [0, 2 * count * bias]; after the
-        # fold a coordinate is at most count * bias * norm in size, read
-        # signed: one more bit
-        bias = max(max(map(max, ints)), -min(map(min, ints)))
-        width = _slot_width(2 * terms * bias * _fold_rows(big_m)[1])
-        slots = [bias] * (big_m * len(values))
-        for start, vec, c in zip(range(0, len(slots), big_m), ints, values):
-            if any(vec):
-                lift = big_m // c.m
-                slots[start:start + lift * len(vec):lift] = [x + bias for x in vec]
-        raw = memoryview(_pack_bytes(slots, width))
-        step = width * big_m
-        bits = 8 * step
-        # each value's block written twice in a row, as _DoubledSums rotates it
-        forms = [x | x << bits for x in
-                 (int.from_bytes(raw[t:t + step], "little") for t in range(0, len(raw), step))]
-        phi = euler_phi(big_m)
-        size = width * phi
-        top = 1 << 8 * width - 1
-
-        def lower(forms, counts=None):
-            # each output folded on its own integer: fold(x) - fold(count *
-            # bias in every slot) + top in every low slot puts every
-            # coordinate in [0, 2 top); only the phi low slots are read
-            low, groups, unit, half = _cyclo_fold(big_m, width)
-            folded = []
-            for x, count in zip(forms, repeat(terms) if counts is None else counts):
-                y = (x & low) + half - count * bias * unit
-                for z, masks, shifts in groups:
-                    y += z * sum(map(rshift, map(x.__and__, masks), shifts))
-                folded.append(y.to_bytes(size, "little"))
-            vals = _unpack(int.from_bytes(b"".join(folded), "little"), phi * len(folded), width)
-            return [CycloNumber._from_ints(big_m, map(sub, vals[t:t + phi], repeat(top)), den)
-                    for t in range(0, len(vals), phi)]
-
-        return forms, _DoubledSums(big_m, width, 1), lower
+        return _cyclo_lift(values, m, terms)
 
     def root_sum(self, coeffs, m, exps):
         if not coeffs:
@@ -547,46 +441,17 @@ def _conv_layout(orders: tuple[int, ...]):
 
 
 def _convolve_packed(f: Measure, g: Measure) -> Measure:
-    """convolve for p-adic measures on an abelian group: one big-integer product.
-
-    Each measure uses beta^i zeta^j only for i < rows, j < cols (its extent;
-    rows = cols = 1 for Z_p-valued measures), so every element of the
-    product is a grid of (rows_f + rows_g - 1) x (cols_f + cols_g - 1)
-    slots, at block positions[x] for a factor's element x.  After the
-    multiply every element sums the blocks that fold onto it and reduces
-    once; a slot receives at most min(|supp f|, |supp g|) * min(rows) *
-    min(cols) products of coordinates below p^N.
-    """
+    """convolve for p-adic measures on an abelian group: one Kronecker
+    product of the ring (PadicRing._product), with the group axes laid out
+    by _conv_layout."""
     group, ring = f.group, f.ring.ring
     if not f.coeffs or not g.coeffs:
         return Measure._of(group, f.ring, {})
     elements, positions, fold = _conv_layout(group.orders)
-    rf, cf = map(max, zip(*(ring._extent(c.coords) for c in f.coeffs.values())))
-    rg, cg = map(max, zip(*(ring._extent(c.coords) for c in g.coeffs.values())))
-    stride = cf + cg - 1
-    block = (rf + rg - 1) * stride
-    summands = min(len(f.coeffs), len(g.coeffs)) * min(rf, rg) * min(cf, cg)
-    width = _slot_width(summands * (ring.pN - 1) ** 2)
-
-    def pack(m: Measure, rows: int, cols: int) -> int:
-        slots = [0] * ((max(map(positions.__getitem__, m.coeffs)) + 1) * block)
-        for x, c in m.coeffs.items():
-            base = positions[x] * block
-            grid = ring._grid(c.coords, rows, cols, stride)
-            slots[base:base + len(grid)] = grid
-        return _pack(slots, width)
-
-    raw = _unpack(pack(f, rf, cf) * pack(g, rg, cg), len(fold) * block, width)
-    sums = [None] * len(elements)
-    for t, h in enumerate(fold):
-        part = raw[t * block:(t + 1) * block]
-        sums[h] = part if sums[h] is None else list(map(add, sums[h], part))
-    out = {}
-    for x, s in zip(elements, sums):
-        coords = ring._reduce_product(s, stride)
-        if any(coords):
-            out[x] = PadicNumber(ring, coords)
-    return Measure._of(group, f.ring, out)
+    out = ring._product({positions[x]: c.coords for x, c in f.coeffs.items()},
+                        {positions[x]: c.coords for x, c in g.coeffs.items()},
+                        fold, len(elements))
+    return Measure._of(group, f.ring, dict(zip(elements, out)))
 
 
 def convolve(f: Measure, g: Measure) -> Measure:

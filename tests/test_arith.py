@@ -7,6 +7,7 @@ in the comments (brute force over residues, extended-gcd checks) and frozen.
 import random
 from fractions import Fraction as F
 from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,8 @@ from iwasawalab.arith import (
     CycloNumber,
     PadicRing,
     QuadFieldElem,
-    _accumulate_roots,
+    _cyclo_fold,
+    _fold_rows,
     _unpack,
     cyclotomic_poly,
     embed_cyclo_padic,
@@ -40,6 +42,69 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_poly(4) == (1, 0, 1)
     assert cyclotomic_poly(5) == (1, 1, 1, 1, 1)
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+
+
+def _mobius(n):
+    """mu(n) by trial division."""
+    sign, q = 1, 2
+    while q * q <= n:
+        if n % q == 0:
+            n //= q
+            if n % q == 0:
+                return 0
+            sign = -sign
+        q += 1
+    return -sign if n > 1 else sign
+
+
+# every conductor up to 300, and the two larger ones at which
+# tests/test_grpring.py checks the CYCLO lower
+CYCLOTOMIC_CONDUCTORS = list(range(1, 301)) + [500, 1500]
+
+
+def test_cyclotomic_polynomials_match_the_mobius_product():
+    # Phi_m(x) = prod over d | m of (x^d - 1)^mu(m/d), at x = 2 and x = 3:
+    # every fold of the package is built from these coefficients
+    for m in CYCLOTOMIC_CONDUCTORS:
+        poly = cyclotomic_poly(m)
+        for x in (2, 3):
+            want = F(1)
+            for d in range(1, m + 1):
+                if m % d == 0:
+                    want *= F(x ** d - 1) ** _mobius(m // d)
+            assert sum(c * x ** i for i, c in enumerate(poly)) == want, (m, x)
+
+
+def test_cyclotomic_polynomials_are_monic_of_degree_phi():
+    for m in CYCLOTOMIC_CONDUCTORS:
+        poly = cyclotomic_poly(m)
+        degree = max(i for i, c in enumerate(poly) if c)
+        assert poly[degree] == 1 and degree == len(poly) - 1, m
+        assert degree == sum(1 for k in range(1, m + 1) if gcd(k, m) == 1), m
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (5, 2), (5, 3), (7, 2)])
+def test_fold_at_a_prime_power_is_one_group_of_minus_one(p, k):
+    # mod Phi_{p^k}, X^(e+r) = -sum_{t<p-1} X^(r + t p^(k-1)) for r < p^(k-1):
+    # one coefficient z = -1, the exponents [e, p^k) and the distances
+    # t p^(k-1), t = 1..p-1, which the p-adic lower reads as one shift, one
+    # mask and p - 2 more left shifts
+    pk, low = p ** k, p ** (k - 1)
+    groups, norm = _fold_rows(pk)
+    assert len(groups) == 1
+    z, sets = groups[0]
+    assert z == -1 and len(sets) == 1
+    ks, ds = sets[0]
+    assert ks == tuple(range(pk - low, pk))
+    assert sorted(ds) == [t * low for t in range(1, p)]
+    assert norm == 2
+    fold, ones = _cyclo_fold(pk, 1, 1)
+    rng = random.Random(pk)
+    a = [rng.randrange(100) for _ in range(pk)]
+    x = sum(c << 8 * j for j, c in enumerate(a))
+    e = pk - low
+    assert fold(x) == sum(a[j] - a[e + j % low] << 8 * j for j in range(e))
+    assert ones == sum(1 << 8 * j for j in range(e))
 
 
 def test_root_of_unity_order():
@@ -206,17 +271,31 @@ def test_padic_units_invert_and_non_units_raise(p, f, pk):
                     y.inverse()
 
 
-def _accumulated_substitution(ring, x, a):
-    """zeta -> zeta^a on each beta-block through the sparse zeta-power table."""
+def _fold_block(ring, a):
+    """Coordinates of one block a of Z[x]/(x^{p^k} - 1), p^k > 1, mod
+    Phi_{p^k}, reduced mod p^N: x^(e+r) = -sum_t x^(r + t p^(k-1)), so
+    coordinate j is a[j] - a[e + j mod p^(k-1)]."""
+    e, low = ring.e, ring.eisenstein_pk // ring.p
+    return [(a[j] - a[e + j % low]) % ring.pN for j in range(e)]
+
+
+def _gathered_substitution(ring, x, a):
+    """zeta -> zeta^a one coordinate at a time: each beta-block placed in
+    Z[x]/(x^{p^k} - 1), slot j of the image gathers slot a^-1 j of the
+    block, and _fold_block reduces it."""
     e, pk = ring.e, ring.eisenstein_pk
-    buf = [0] * ring.dim
+    inv = pow(a, -1, pk)
+    out = []
     for base in range(0, ring.dim, e):
-        _accumulate_roots(buf, pk, x.coords[base:base + e], a, 0, base)
-    return ring.from_coords(buf)
+        block = list(x.coords[base:base + e]) + [0] * (pk - e)
+        out += _fold_block(ring, [block[inv * j % pk] for j in range(pk)])
+    return ring.from_coords(out)
 
 
 @pytest.mark.parametrize("p, f, pk", PADIC_SHAPES)
 def test_zeta_substitution_matches_the_sparse_table(p, f, pk):
+    # zeta_substitution runs on the sparse zeta-power table; the reference
+    # gathers and folds one coordinate at a time and reads no table
     rng = random.Random(p * 1000 + f * 10 + pk + 1)
     ring = PadicRing(p, 3, f, pk)
     top = ring.from_coords([ring.pN - 1] * ring.dim)
@@ -224,7 +303,7 @@ def test_zeta_substitution_matches_the_sparse_table(p, f, pk):
         x = ring.from_coords([rng.randrange(ring.pN) for _ in range(ring.dim)])
         for y in (x, top):
             got = ring.zeta_substitution(y, a)
-            want = y if pk == 1 else _accumulated_substitution(ring, y, a)
+            want = y if pk == 1 else _gathered_substitution(ring, y, a)
             assert got.coords == want.coords
     if pk > 1:
         with pytest.raises(ArithError):
@@ -320,6 +399,10 @@ def test_padic_product_matches_schoolbook(p, N, f, pk):
     scalar = [0] * ring.dim
     scalar[0] = rng.randrange(ring.pN)
     cases.append((cases[1][0], scalar))
+    # a factor in the low corner (few beta-rows and zeta-columns) packs on a
+    # smaller grid with narrower slots
+    corner = [ring.pN - 1 if i < max(2, ring.e // 2) else 0 for i in range(ring.dim)]
+    cases += [(corner, top), (top, corner), (corner, corner)]
     for a, b in cases:
         assert (ring.from_coords(a) * ring.from_coords(b)).coords == _schoolbook_product(ring, a, b)
 
@@ -338,7 +421,7 @@ def test_mul_zeta_power_is_multiplication_by_zeta_power(p, N, f, pk):
 def _naive_lower(ring, n, width):
     """Coordinates of a sum of rotated packed values, one coordinate at a
     time: every slot unpacked, then each block of Z[x]/(x^{p^k} - 1) folded
-    mod Phi_{p^k} and reduced mod p^N by _fold_cyclic (for p^k = 1, the
+    mod Phi_{p^k} and reduced mod p^N by _fold_block (for p^k = 1, the
     block's one slot reduced mod p^N)."""
     pk = ring.eisenstein_pk
     span = 2 * pk
@@ -346,7 +429,7 @@ def _naive_lower(ring, n, width):
     vals = _unpack(n, span * blocks, width)
     out = []
     for base in range(0, len(vals), span):
-        out += ring._fold_cyclic(vals[base:base + pk]) if pk > 1 else [vals[base] % ring.pN]
+        out += _fold_block(ring, vals[base:base + pk]) if pk > 1 else [vals[base] % ring.pN]
     return tuple(out) + (0,) * (ring.dim - len(out))
 
 

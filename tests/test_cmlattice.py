@@ -82,6 +82,42 @@ def test_find_generator_scaled_lattice():
     assert res2.passed
 
 
+def _old_box_generator(lat, p):
+    """(alpha, p_unit) of the generator search before the norm-equation box:
+    the first m + n tau with |m|, |n| <= d + 4, by max(|m|, |n|) and then
+    (m, n), of norm the covolume ratio and with O alpha = Z + Z tau."""
+    w = lat.omega()
+    order = CmLattice(lat.d, w, lat.mode)
+    norm = abs(lat.tau.b) / abs(w.b)
+    bound = lat.d + 4
+    box = sorted(((m, n) for m in range(-bound, bound + 1) for n in range(-bound, bound + 1)
+                  if (m, n) != (0, 0)), key=lambda t: (max(map(abs, t)), t))
+    for m, n in box:
+        alpha = QuadFieldElem.rational(lat.d, m) + lat.tau * n
+        inv = alpha.inverse() if alpha.norm() == norm else None
+        if inv is not None and lat.contains(alpha) and lat.contains(alpha * w) \
+                and order.contains(inv) and order.contains(inv * lat.tau):
+            return alpha, alpha.valuation_at_split_prime(p) == 0
+    return None, False
+
+
+@pytest.mark.parametrize("mode", ["maximal", "sqrt-order"])
+def test_norm_equation_box_finds_what_the_old_box_found(mode):
+    for d in CLASS_NUMBER_ONE_DISCS:
+        report = scan_discriminant(d, mode=mode)
+        for entry in report.stable_entries:
+            lat = CmLattice(d, QuadFieldElem(d, F(0), F(entry.s_prime, d)), mode)
+            res = find_generator(lat, report.p)
+            assert (res.alpha, res.p_unit) == _old_box_generator(lat, report.p), (d, entry.s_prime)
+
+
+def test_failed_generator_search_says_no_element_has_the_norm():
+    # Z + Z i over the order Z[2i]: m^2 + n^2 = 1/2 has no solution
+    res = find_generator(CmLattice(4, _tau(4, 1, 2), mode="sqrt-order"), 5)
+    assert not res.passed and res.alpha is None
+    assert res.witness == "no element m + n tau has norm 1/2"
+
+
 def test_smallest_split_primes_table():
     expected = {3: 7, 4: 5, 7: 11, 8: 11, 11: 5, 19: 5, 43: 11, 67: 17, 163: 41}
     for d, p in expected.items():

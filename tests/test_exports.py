@@ -193,3 +193,43 @@ TEST_ONLY = [
 
 def test_test_only_definitions_are_frozen():
     assert _test_only_definitions(_package(), _sources("labbench"), _sources("tests")) == TEST_ONLY
+
+
+def _private_imports(package: dict[str, str]) -> dict[str, list[str]]:
+    """module -> sorted "sibling.name" for every underscore name the module
+    imports from a sibling module of the package (from .sibling import _x)."""
+    out: dict[str, list[str]] = {}
+    for mod, src in sorted(package.items()):
+        names = [f"{node.module}.{alias.name}" for node in ast.walk(ast.parse(src))
+                 if isinstance(node, ast.ImportFrom) and node.level == 1
+                 for alias in node.names
+                 if alias.name.startswith("_") and not alias.name.startswith("__")]
+        if names:
+            out[mod] = sorted(names)
+    return out
+
+
+def test_scan_flags_a_private_sibling_import():
+    package = {"a": "from .b import _kernel, public, __version__\nfrom os import _exit\n",
+               "b": "from . import a\nfrom .a import helper as _helper\n",
+               "c": "def f():\n    from .a import _late\n    return _late\n"}
+    # a relative import of a private name counts, also inside a function;
+    # dunder names, absolute imports and public names (even under a private
+    # alias) do not
+    assert _private_imports(package) == {"a": ["b._kernel"], "c": ["a._late"]}
+
+
+# The private names each module reads from a sibling module.  This list may
+# only shrink: a kernel that a second module needs moves behind a method or
+# a module that owns it, not into a new private import.  grpring keeps only
+# the CYCLO lift; the packing helpers (_pack, _pack_bytes, _unpack,
+# _slot_width, _zeta_table, _DoubledSums) are arith's alone.
+PRIVATE_IMPORTS = {
+    "epsilon": ["arith._accumulate_roots"],
+    "grpring": ["arith._cyclo_lift"],
+    "symratio": ["grpring._CoeffAdapter"],
+}
+
+
+def test_private_sibling_imports_are_frozen():
+    assert _private_imports(_package()) == PRIVATE_IMPORTS

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 from functools import reduce
+from math import lcm
 from operator import add
 
 import pytest
@@ -702,8 +703,8 @@ def test_cyclo_lower_matches_the_column_wise_reduction(big_m):
     rng = random.Random(big_m)
     for name, values, terms in _lower_cases(big_m, rng):
         forms, sums, lower = CYCLO.lift(values, big_m, terms)
-        _, den, ints = CYCLO._common(values, big_m)
-        bias = max(abs(x) for vec in ints for x in vec)
+        den = lcm(*(x.den for x in values))
+        bias = max(abs(c) * (den // x.den) for x in values for c in x.num)
         width = sums.slot // 8
         assert width == _slot_width(2 * terms * bias * _fold_norm(big_m)), name
         shifts = sums.shifts(big_m)
